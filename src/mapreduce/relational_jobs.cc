@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <set>
+#include <utility>
 
 #include "common/check.h"
 #include "common/hash.h"
@@ -127,7 +128,7 @@ MpcRunResult RunJobOnMpc(const MapReduceJob& job, const Instance& input,
         }
         return {Instance(), std::move(output)};
       });
-  return {sim.output(), sim.stats()};
+  return std::move(sim).TakeResult();
 }
 
 }  // namespace lamp

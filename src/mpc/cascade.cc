@@ -4,6 +4,7 @@
 #include <set>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -280,7 +281,7 @@ MpcRunResult CascadeJoin(Schema& schema, const ConjunctiveQuery& query,
         });
   }
 
-  return {sim.output(), sim.stats()};
+  return std::move(sim).TakeResult();
 }
 
 }  // namespace lamp

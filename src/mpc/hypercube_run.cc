@@ -1,6 +1,7 @@
 #include "mpc/hypercube_run.h"
 
 #include <cmath>
+#include <utility>
 
 #include "common/check.h"
 #include "cq/eval.h"
@@ -23,7 +24,7 @@ MpcRunResult RunHyperCube(const ConjunctiveQuery& query, const Instance& input,
         return MpcSimulator::ComputeResult{Instance(),
                                            Evaluate(query, received)};
       });
-  return {sim.output(), sim.stats()};
+  return std::move(sim).TakeResult();
 }
 
 MpcRunResult RunHyperCubeUniform(const ConjunctiveQuery& query,

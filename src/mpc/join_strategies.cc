@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -126,7 +127,7 @@ MpcRunResult RepartitionJoin(const ConjunctiveQuery& query,
   sim.LoadInput(input);
   sim.RunRound(RepartitionRouter(query, num_servers, seed),
                EvaluateLocally(query));
-  return {sim.output(), sim.stats()};
+  return std::move(sim).TakeResult();
 }
 
 MpcRunResult FragmentReplicateJoin(const ConjunctiveQuery& query,
@@ -137,7 +138,7 @@ MpcRunResult FragmentReplicateJoin(const ConjunctiveQuery& query,
   sim.LoadInput(input);
   sim.RunRound(FragmentReplicateRouter(query, num_servers, seed),
                EvaluateLocally(query));
-  return {sim.output(), sim.stats()};
+  return std::move(sim).TakeResult();
 }
 
 }  // namespace lamp

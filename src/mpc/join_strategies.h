@@ -22,13 +22,6 @@
 
 namespace lamp {
 
-/// Result of a complete MPC execution: the query output plus per-round
-/// load statistics.
-struct MpcRunResult {
-  Instance output;
-  RunStats stats;
-};
-
 /// Positions (within each of the two body atoms) of the shared join
 /// variables of a binary join query.
 struct JoinShape {

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -126,7 +127,7 @@ MpcRunResult SharesSkewJoin(const ConjunctiveQuery& query,
         return MpcSimulator::ComputeResult{Instance(),
                                            Evaluate(query, received)};
       });
-  return {sim.output(), sim.stats()};
+  return std::move(sim).TakeResult();
 }
 
 }  // namespace lamp

@@ -16,6 +16,31 @@ struct Routed {
   NodeId source;
 };
 
+/// Rows bound for one instance, counted per relation before any is
+/// inserted, so the instance can be sized once (count, then scatter).
+class RowCounts {
+ public:
+  void Add(RelationId relation, std::size_t arity, std::size_t rows) {
+    if (rows == 0) return;
+    if (relation >= rows_.size()) {
+      rows_.resize(relation + 1, 0);
+      arity_.resize(relation + 1, 0);
+    }
+    if (rows_[relation] == 0) arity_[relation] = arity;
+    rows_[relation] += rows;
+  }
+
+  void ReserveIn(Instance& instance) const {
+    for (RelationId r = 0; r < rows_.size(); ++r) {
+      instance.Reserve(r, arity_[r], rows_[r]);
+    }
+  }
+
+ private:
+  std::vector<std::size_t> rows_;
+  std::vector<std::size_t> arity_;
+};
+
 }  // namespace
 
 MpcSimulator::MpcSimulator(std::size_t num_servers) {
@@ -28,11 +53,28 @@ void MpcSimulator::LoadInput(const Instance& global) {
   locals_.assign(p, Instance());
   output_ = Instance();
   stats_ = RunStats();
-  std::size_t i = 0;
-  global.ForEachFact([this, p, &i](const Fact& f) {
-    locals_[i % p].Insert(f);
-    ++i;
-  });
+  // Fact i of the global (relation, insertion) order goes to server
+  // i % p. Each server's share of a relation is a stride of its rows:
+  // reserve the share, then insert it in order.
+  std::size_t offset = 0;  // Global index of the relation's first row.
+  for (RelationId rel = 0; rel < global.RelationBound(); ++rel) {
+    const RowsView rows = global.RowsOf(rel);
+    if (rows.empty()) continue;
+    for (std::size_t server = 0; server < p; ++server) {
+      const std::size_t first = (server + p - offset % p) % p;
+      if (first >= rows.num_rows) continue;
+      Instance& local = locals_[server];
+      local.Reserve(rel, rows.arity, (rows.num_rows - first + p - 1) / p);
+      for (std::size_t j = first; j < rows.num_rows; j += p) {
+        local.InsertRow(rel, rows.Row(j), rows.arity);
+      }
+    }
+    offset += rows.num_rows;
+  }
+}
+
+MpcRunResult MpcSimulator::TakeResult() && {
+  return MpcRunResult{std::move(output_), std::move(stats_)};
 }
 
 void MpcSimulator::LoadLocals(std::vector<Instance> locals) {
@@ -95,7 +137,9 @@ void MpcSimulator::RunRound(const Router& route, const Computer& compute) {
       // Step 2 (in-process): merge outboxes per target, ascending shard
       // order. Targets are independent, so the merge itself fans out; the
       // per-target insert sequence equals the serial one, keeping dedup
-      // decisions and load counts byte-identical. A fact kept at its
+      // decisions and load counts byte-identical. The target's rows are
+      // counted per relation and reserved before the first insert, so
+      // the merge never grows storage. A fact kept at its
       // current server is not communicated: it persists but does not count
       // toward the load (the model's load is the data *received* by a
       // server during the round). Wire bytes are accounted in closed form:
@@ -118,6 +162,13 @@ void MpcSimulator::RunRound(const Router& route, const Computer& compute) {
           run_count = 0;
           run_fact_bytes = 0;
         };
+        RowCounts counts;
+        for (const auto& out : outbox) {
+          for (const Routed& r : out[target]) {
+            counts.Add(r.row.relation, r.row.arity, 1);
+          }
+        }
+        counts.ReserveIn(received[target]);
         for (const auto& out : outbox) {
           for (const Routed& r : out[target]) {
             if (r.source != tgt) {
@@ -165,41 +216,54 @@ void MpcSimulator::RunRound(const Router& route, const Computer& compute) {
           }
         }
       }
-      // Each target drains its channels in ascending source order,
-      // interleaving the self-routed (local) entries at its own position —
-      // the exact in-process insert sequence, so digests cannot move.
+      // Each target first drains and decodes its channels in ascending
+      // source order and counts every incoming row, own entries included,
+      // per relation; it reserves that many, then inserts in ascending
+      // source order with the self-routed (local) entries at its own
+      // position — the exact in-process insert sequence, so digests cannot
+      // move.
       pool.ParallelFor(0, p, [&received, &round, &outbox, &senders, wire, p,
                               round_idx](std::size_t target) {
         const auto tgt = static_cast<NodeId>(target);
-        std::size_t& load = round.received[target];
-        std::size_t next = 0;
-        for (NodeId source = 0; source < p; ++source) {
-          if (source == tgt) {
-            for (const auto& out : outbox) {
-              for (const Routed& r : out[target]) {
-                if (r.source == tgt) {
-                  received[target].InsertRow(r.row.relation, r.row.row,
-                                             r.row.arity);
-                }
-              }
-            }
-            continue;
-          }
-          if (next >= senders[target].size() ||
-              senders[target][next] != source) {
-            continue;  // That source routed nothing here this round.
-          }
-          ++next;
+        std::vector<transport::FactBatchRows> batches(p);
+        RowCounts counts;
+        for (const NodeId source : senders[target]) {
           transport::WireFrame frame = wire->Recv(
               static_cast<std::uint32_t>(target), source);
           LAMP_CHECK(frame.type == transport::FrameType::kFactBatch);
           round.wire_bytes[target] += transport::FrameWireSize(frame);
-          const auto decoded =
-              transport::DecodeFactBatchPayload(frame.payload);
-          LAMP_CHECK_MSG(decoded.has_value() && decoded->round == round_idx,
-                         "mpc: malformed fact batch on the wire");
-          for (const Fact& f : decoded->facts) {
-            if (received[target].Insert(f)) ++load;
+          transport::FactBatchRows& batch = batches[source];
+          LAMP_CHECK_MSG(
+              transport::DecodeFactBatchRows(frame.payload, round_idx, batch),
+              "mpc: malformed fact batch on the wire");
+          batch.ForEachRun([&counts](RelationId relation, const Value*,
+                                     std::size_t count, std::size_t arity) {
+            counts.Add(relation, arity, count);
+          });
+        }
+        for (const auto& out : outbox) {
+          for (const Routed& r : out[target]) {
+            if (r.source == tgt) counts.Add(r.row.relation, r.row.arity, 1);
+          }
+        }
+        Instance& into = received[target];
+        counts.ReserveIn(into);
+        std::size_t& load = round.received[target];
+        for (NodeId source = 0; source < p; ++source) {
+          if (source != tgt) {
+            batches[source].ForEachRun(
+                [&into, &load](RelationId relation, const Value* rows,
+                               std::size_t count, std::size_t arity) {
+                  load += into.InsertRows(relation, rows, count, arity);
+                });
+            continue;
+          }
+          for (const auto& out : outbox) {
+            for (const Routed& r : out[target]) {
+              if (r.source == tgt) {
+                into.InsertRow(r.row.relation, r.row.row, r.row.arity);
+              }
+            }
           }
         }
       });
@@ -226,6 +290,13 @@ void MpcSimulator::RunRound(const Router& route, const Computer& compute) {
                        results[server] = compute(static_cast<NodeId>(server),
                                                  received[server]);
                      });
+    RowCounts counts;
+    for (const ComputeResult& result : results) {
+      for (RelationId r = 0; r < result.output.RelationBound(); ++r) {
+        counts.Add(r, result.output.ArityOf(r), result.output.NumRows(r));
+      }
+    }
+    counts.ReserveIn(output_);
     for (NodeId server = 0; server < p; ++server) {
       locals_[server] = std::move(results[server].next_state);
       output_.InsertAll(results[server].output);

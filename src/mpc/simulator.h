@@ -48,6 +48,13 @@
 
 namespace lamp {
 
+/// Result of a complete MPC execution: the query output plus per-round
+/// load statistics.
+struct MpcRunResult {
+  Instance output;
+  RunStats stats;
+};
+
 /// Simulates one MPC cluster execution.
 class MpcSimulator {
  public:
@@ -87,6 +94,10 @@ class MpcSimulator {
   const std::vector<Instance>& locals() const { return locals_; }
   const Instance& output() const { return output_; }
   const RunStats& stats() const { return stats_; }
+
+  /// Moves the output and statistics out of a finished run, leaving the
+  /// simulator without them: `return std::move(sim).TakeResult();`.
+  MpcRunResult TakeResult() &&;
 
   /// Union of all server states (for assertions).
   Instance GlobalState() const;

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -185,7 +186,7 @@ MpcRunResult SkewResilientTriangle(const ConjunctiveQuery& triangle,
         });
   }
 
-  return {sim.output(), sim.stats()};
+  return std::move(sim).TakeResult();
 }
 
 }  // namespace lamp

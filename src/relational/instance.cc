@@ -52,6 +52,26 @@ void Instance::Rehash(Column& c, std::size_t new_slots) {
   }
 }
 
+void Instance::Reserve(RelationId relation, std::size_t arity,
+                       std::size_t extra_rows) {
+  if (extra_rows == 0) return;
+  if (relation >= by_relation_.size()) by_relation_.resize(relation + 1);
+  Column& c = by_relation_[relation];
+  if (c.num_rows == 0) {
+    c.arity = static_cast<std::uint32_t>(arity);
+  } else {
+    LAMP_CHECK_MSG(arity == c.arity,
+                   "all rows of a relation must share one arity");
+  }
+  const std::size_t rows = c.num_rows + extra_rows;
+  c.data.reserve(rows * arity);
+  // The smallest table the insert-time trigger would have grown to for
+  // `rows` rows (load factor at most 7/8).
+  std::size_t slots = std::max<std::size_t>(16, c.slots.size());
+  while (rows * 8 > slots * 7) slots *= 2;
+  if (slots != c.slots.size()) Rehash(c, slots);
+}
+
 bool Instance::InsertRow(RelationId relation, const Value* row,
                          std::size_t arity) {
   if (relation >= by_relation_.size()) by_relation_.resize(relation + 1);
@@ -139,9 +159,9 @@ std::size_t Instance::InsertRowsImpl(RelationId relation, const Value* rows,
                    "all rows of a relation must share one arity");
   }
 
-  // Same per-insert growth trigger as InsertRow (so the probe-table growth
-  // trajectory is identical to repeated single inserts); only the relation
-  // lookup and arity check are hoisted out of the loop.
+  // Same per-insert growth trigger as InsertRow (a table presized by
+  // Reserve never fires it); only the relation lookup and arity check are
+  // hoisted out of the loop.
   const std::size_t row_bytes = arity * sizeof(Value);
   std::size_t mask = c.slots.empty() ? 0 : c.slots.size() - 1;
   std::size_t added = 0;

@@ -143,11 +143,22 @@ class Instance {
   /// Inserts every fact of \p other; returns the number of new facts.
   std::size_t InsertAll(const Instance& other);
 
+  /// Makes room for \p extra_rows more rows of \p relation (of \p arity
+  /// values each) beyond its current row count: sizes the row data and the
+  /// dedup slot table once, so that many inserts that follow never grow
+  /// either. The stored rows, their order and every membership and join
+  /// index answer stay as they would be without it: iteration follows
+  /// insertion order, never the slot table's capacity. Like an insert, it
+  /// gives \p relation storage (RelationBound() covers it). A no-op when
+  /// \p extra_rows is 0; otherwise \p arity must match the relation's
+  /// rows, if it has any (checked).
+  void Reserve(RelationId relation, std::size_t arity,
+               std::size_t extra_rows);
+
   /// Batch insert of \p count rows of \p arity values each (row-major,
   /// contiguous). Behaves exactly like \p count InsertRow calls — same
-  /// dedup, same growth trajectory, same resulting row order — but hoists
-  /// the per-call relation lookup out of the loop. Returns the number of
-  /// rows that were new.
+  /// dedup, same resulting row order — but hoists the per-call relation
+  /// lookup out of the loop. Returns the number of rows that were new.
   std::size_t InsertRows(RelationId relation, const Value* rows,
                          std::size_t count, std::size_t arity);
 

@@ -161,15 +161,6 @@ std::optional<TraceCtxPayload> DecodeTraceCtxPayload(
 }
 
 std::vector<std::uint8_t> EncodeFactBatchPayload(
-    std::uint64_t round, const std::vector<const Fact*>& facts) {
-  std::vector<std::uint8_t> payload;
-  PutVarint(payload, round);
-  PutVarint(payload, facts.size());
-  for (const Fact* fact : facts) PutFact(payload, *fact);
-  return payload;
-}
-
-std::vector<std::uint8_t> EncodeFactBatchPayload(
     std::uint64_t round, const std::vector<RowRef>& rows) {
   std::vector<std::uint8_t> payload;
   PutVarint(payload, round);
@@ -178,22 +169,35 @@ std::vector<std::uint8_t> EncodeFactBatchPayload(
   return payload;
 }
 
-std::optional<FactBatchPayload> DecodeFactBatchPayload(
-    const std::vector<std::uint8_t>& payload) {
+bool DecodeFactBatchRows(const std::vector<std::uint8_t>& payload,
+                         std::uint64_t round, FactBatchRows& out) {
+  out.relation.clear();
+  out.arity.clear();
+  out.values.clear();
   WireReader reader(payload);
-  const auto round = reader.ReadVarint();
+  const auto batch_round = reader.ReadVarint();
   const auto count = reader.ReadVarint();
-  if (!round || !count || *count > payload.size()) return std::nullopt;
-  FactBatchPayload batch;
-  batch.round = *round;
-  batch.facts.reserve(*count);
-  for (std::uint64_t i = 0; i < *count; ++i) {
-    std::optional<Fact> fact = ReadFact(reader);
-    if (!fact) return std::nullopt;
-    batch.facts.push_back(*std::move(fact));
+  if (!batch_round || *batch_round != round || !count ||
+      *count > payload.size()) {
+    return false;
   }
-  if (!reader.AtEnd()) return std::nullopt;
-  return batch;
+  out.relation.reserve(*count);
+  out.arity.reserve(*count);
+  for (std::uint64_t i = 0; i < *count; ++i) {
+    const auto relation = reader.ReadVarint();
+    const auto arity = reader.ReadVarint();
+    // Each argument takes at least one byte, so an arity beyond the
+    // remaining bytes cannot be satisfied; bail before growing `values`.
+    if (!relation || !arity || *arity > reader.remaining()) return false;
+    out.relation.push_back(static_cast<RelationId>(*relation));
+    out.arity.push_back(static_cast<std::uint32_t>(*arity));
+    for (std::uint64_t k = 0; k < *arity; ++k) {
+      const auto arg = reader.ReadZigzag();
+      if (!arg) return false;
+      out.values.emplace_back(*arg);
+    }
+  }
+  return reader.AtEnd();
 }
 
 std::vector<std::uint8_t> EncodeMessagePayload(

@@ -183,21 +183,51 @@ struct TraceCtxPayload {
 std::optional<TraceCtxPayload> DecodeTraceCtxPayload(
     const std::vector<std::uint8_t>& payload);
 
-/// kFactBatch payload: \p facts routed in one round. The fact list may
-/// contain duplicates; receivers dedup on insert exactly like the
-/// in-process merge.
-std::vector<std::uint8_t> EncodeFactBatchPayload(
-    std::uint64_t round, const std::vector<const Fact*>& facts);
-
-/// Row-based overload: same payload bytes for the facts the rows denote.
+/// kFactBatch payload: the facts \p rows denote, routed in one round.
+/// The list may contain duplicates; receivers dedup on insert exactly
+/// like the in-process merge.
 std::vector<std::uint8_t> EncodeFactBatchPayload(
     std::uint64_t round, const std::vector<RowRef>& rows);
-struct FactBatchPayload {
-  std::uint64_t round = 0;
-  std::vector<Fact> facts;
+
+/// A decoded kFactBatch payload in columnar form: row i is relation[i]
+/// with arity[i] values, and the rows' values sit back to back in
+/// `values`. Decoding into a reused FactBatchRows allocates nothing once
+/// its buffers have grown.
+struct FactBatchRows {
+  std::vector<RelationId> relation;
+  std::vector<std::uint32_t> arity;
+  std::vector<Value> values;
+
+  std::size_t size() const { return relation.size(); }
+
+  /// Calls visit(relation, rows, count, arity) for every maximal run of
+  /// consecutive rows sharing one relation and arity, in row order;
+  /// `rows` points at the run's count * arity values, row-major — the
+  /// shape Instance::InsertRows takes.
+  template <typename Visitor>
+  void ForEachRun(Visitor&& visit) const {
+    const Value* rows = values.data();
+    std::size_t i = 0;
+    while (i < relation.size()) {
+      std::size_t end = i + 1;
+      while (end < relation.size() && relation[end] == relation[i] &&
+             arity[end] == arity[i]) {
+        ++end;
+      }
+      visit(relation[i], rows, end - i, static_cast<std::size_t>(arity[i]));
+      rows += (end - i) * arity[i];
+      i = end;
+    }
+  }
 };
-std::optional<FactBatchPayload> DecodeFactBatchPayload(
-    const std::vector<std::uint8_t>& payload);
+
+/// Decodes a kFactBatch payload of round \p round into \p out, replacing
+/// its contents. Returns false on malformed input — a truncated or
+/// overlong varint, a row count or an arity beyond the remaining bytes,
+/// bytes after the last row — and on a batch of another round; \p out is
+/// then unspecified.
+bool DecodeFactBatchRows(const std::vector<std::uint8_t>& payload,
+                         std::uint64_t round, FactBatchRows& out);
 
 /// kMessage payload: one transducer broadcast copy plus its causal
 /// bookkeeping (depth, parent transition + 1; see net/network.cc).

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/rng.h"
 #include "cq/eval.h"
 #include "cq/parser.h"
 #include "mpc/heavy_hitters.h"
@@ -29,6 +32,39 @@ TEST_F(SimulatorTest, LoadInputScattersRoundRobin) {
   }
   EXPECT_EQ(total, 10u);
   EXPECT_EQ(sim.GlobalState(), global);
+}
+
+// LoadInput places fact i of the global (relation, insertion) order on
+// server i % p. Pinned against that definition, written over ForEachFact,
+// for relations of several arities (a nullary one and an id left empty
+// included) and for p below, at and above the per-relation row counts.
+TEST(LoadInputTest, PlacementMatchesForEachFactRoundRobin) {
+  Rng rng(41);
+  Instance global;
+  const std::size_t arity[] = {2, 3, 0, 1, 2};
+  const std::size_t rows[] = {37, 11, 1, 0, 64};
+  for (RelationId rel = 0; rel < 5; ++rel) {
+    while (global.NumRows(rel) < rows[rel]) {
+      std::vector<Value> row;
+      for (std::size_t k = 0; k < arity[rel]; ++k) {
+        row.push_back(Value(rng.UniformInt(0, 999)));
+      }
+      global.InsertRow(rel, row.data(), row.size());
+    }
+  }
+  for (const std::size_t p : {1, 2, 3, 4, 7, 16, 200}) {
+    std::vector<std::vector<Fact>> expected(p);
+    std::size_t i = 0;
+    global.ForEachFact([&](const Fact& f) { expected[i++ % p].push_back(f); });
+
+    MpcSimulator sim(p);
+    sim.LoadInput(global);
+    ASSERT_EQ(sim.locals().size(), p);
+    for (std::size_t server = 0; server < p; ++server) {
+      EXPECT_EQ(sim.locals()[server].AllFacts(), expected[server])
+          << "p=" << p << " server=" << server;
+    }
+  }
 }
 
 TEST_F(SimulatorTest, RoundRoutesAndCounts) {

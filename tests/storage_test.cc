@@ -1,10 +1,12 @@
 // Columnar storage contract tests (DESIGN.md §Storage layout).
 //
-// Two halves. (1) A randomized property test drives Instance through the
+// Three parts. (1) A randomized property test drives Instance through the
 // full mutation surface — InsertRow / Insert / InsertAll / ClearRelation —
 // against a reference set-of-rows model, checking after every step that
 // set semantics, per-relation insertion order, membership, ActiveDomain
-// and the lazily built join indexes all agree with the model. (2) A
+// and the lazily built join indexes all agree with the model. (2) Reserve
+// is invisible: the same operations with and without it mixed in agree
+// on rows, membership and join index chains. (3) A
 // digest-parity test pins the end-to-end contract the refactor must not
 // move: the same MPC workload produces byte-identical output fingerprints
 // at thread counts {1, 4} and across the inproc / tcp / uds transports.
@@ -277,6 +279,110 @@ TEST(StorageProperty, EqualityIsInsertionOrderIndependent) {
   const std::vector<Value> extra = {Value(100), Value(100)};
   b.InsertRow(0, extra.data(), 2);
   EXPECT_FALSE(a == b);
+}
+
+// ------------------------------------------------------ Reserve --
+
+/// Rows of every relation, in order, plus each relation's join index over
+/// every nonempty position mask: everything observable about the stored
+/// rows.
+void ExpectSameRowsAndIndexes(const Instance& a, const Instance& b) {
+  ASSERT_EQ(a.Size(), b.Size());
+  // A Reserve may give an id storage before any row arrives, so the
+  // bounds may differ; ids beyond either bound are empty.
+  const RelationId bound = std::max(a.NumRelationIds(), b.NumRelationIds());
+  for (RelationId rel = 0; rel < bound; ++rel) {
+    const RowsView ra = a.RowsOf(rel);
+    const RowsView rb = b.RowsOf(rel);
+    ASSERT_EQ(ra.num_rows, rb.num_rows) << "relation " << rel;
+    if (ra.num_rows == 0) continue;
+    ASSERT_EQ(ra.arity, rb.arity) << "relation " << rel;
+    ASSERT_TRUE(std::equal(ra.data, ra.data + ra.num_rows * ra.arity,
+                           rb.data, [](Value x, Value y) { return x == y; }))
+        << "relation " << rel;
+    for (std::uint64_t mask = 1; mask < (1u << ra.arity); ++mask) {
+      const JoinIndex& ia = a.IndexOn(rel, mask);
+      const JoinIndex& ib = b.IndexOn(rel, mask);
+      EXPECT_EQ(ia.key_pos, ib.key_pos);
+      EXPECT_EQ(ia.head, ib.head) << "relation " << rel << " mask " << mask;
+      EXPECT_EQ(ia.tail, ib.tail) << "relation " << rel << " mask " << mask;
+      EXPECT_EQ(ia.next, ib.next) << "relation " << rel << " mask " << mask;
+    }
+  }
+}
+
+// Reserve only sizes storage: the same operation sequence with and without
+// Reserve calls mixed in gives the same return values, row order,
+// membership answers and join index chains.
+TEST(StorageReserve, RandomOpsMatchTheSameOpsWithoutReserve) {
+  constexpr RelationId kRelations = 4;
+  const std::size_t kArity[kRelations] = {2, 3, 1, 0};
+  for (std::uint64_t seed = 0; seed < 8; ++seed) {
+    Rng rng(2000 + seed);
+    Instance reserved;
+    Instance plain;
+    for (int step = 0; step < 500; ++step) {
+      const RelationId rel = static_cast<RelationId>(rng.Uniform(kRelations));
+      const std::size_t arity = kArity[rel];
+      const std::uint64_t op = rng.Uniform(100);
+      if (op < 20) {
+        // Sometimes exactly what follows, sometimes far more or less.
+        reserved.Reserve(rel, arity, rng.Uniform(3) == 0 ? rng.Uniform(300)
+                                                         : rng.Uniform(8));
+      } else if (op < 55) {
+        const std::vector<Value> row = ToValues(RandomRow(rng, arity, 15));
+        EXPECT_EQ(reserved.InsertRow(rel, row.data(), arity),
+                  plain.InsertRow(rel, row.data(), arity));
+      } else if (op < 75) {
+        const std::size_t n = 1 + rng.Uniform(40);
+        std::vector<Value> batch;
+        for (std::size_t i = 0; i < n; ++i) {
+          const std::vector<Value> row = ToValues(RandomRow(rng, arity, 15));
+          batch.insert(batch.end(), row.begin(), row.end());
+        }
+        EXPECT_EQ(reserved.InsertRows(rel, batch.data(), n, arity),
+                  plain.InsertRows(rel, batch.data(), n, arity));
+      } else if (op < 85) {
+        Instance other;
+        for (std::size_t i = rng.Uniform(30); i > 0; --i) {
+          const std::vector<Value> row = ToValues(RandomRow(rng, arity, 15));
+          other.InsertRow(rel, row.data(), arity);
+        }
+        EXPECT_EQ(reserved.InsertAll(other), plain.InsertAll(other));
+      } else if (op < 95) {
+        const std::vector<Value> row = ToValues(RandomRow(rng, arity, 15));
+        EXPECT_EQ(reserved.ContainsRow(rel, row.data(), arity),
+                  plain.ContainsRow(rel, row.data(), arity));
+      } else {
+        reserved.ClearRelation(rel);
+        plain.ClearRelation(rel);
+      }
+      if (step % 53 == 0) ExpectSameRowsAndIndexes(reserved, plain);
+    }
+    ExpectSameRowsAndIndexes(reserved, plain);
+    EXPECT_TRUE(reserved == plain);
+  }
+}
+
+TEST(StorageReserve, ZeroRowsIsANoOp) {
+  Instance instance;
+  const std::vector<Value> row = {Value(1), Value(2)};
+  instance.InsertRow(0, row.data(), 2);
+  // Neither a new relation id nor a mismatched arity takes effect.
+  instance.Reserve(5, 3, 0);
+  instance.Reserve(0, 7, 0);
+  EXPECT_EQ(instance.NumRelationIds(), 1u);
+  EXPECT_EQ(instance.ArityOf(0), 2u);
+  EXPECT_EQ(instance.Size(), 1u);
+  EXPECT_TRUE(instance.ContainsRow(0, row.data(), 2));
+}
+
+TEST(StorageReserveDeathTest, ArityMismatchHitsTheCheck) {
+  Instance instance;
+  const std::vector<Value> row = {Value(1), Value(2)};
+  instance.InsertRow(0, row.data(), 2);
+  instance.Reserve(0, 2, 10);  // Matching arity: fine.
+  EXPECT_DEATH(instance.Reserve(0, 3, 10), "arity");
 }
 
 // ------------------------------------------------- digest parity --

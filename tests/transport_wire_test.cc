@@ -59,6 +59,29 @@ Fact RandomFact(Rng& rng) {
   return Fact(relation, std::move(args));
 }
 
+// Row references to \p facts, the batch encoder's input.
+std::vector<RowRef> RowRefs(const std::vector<Fact>& facts) {
+  std::vector<RowRef> refs;
+  for (const Fact& f : facts) {
+    refs.push_back(RowRef{f.relation, f.args.data(),
+                          static_cast<std::uint32_t>(f.args.size())});
+  }
+  return refs;
+}
+
+// The decoded rows as facts, in row order.
+std::vector<Fact> RowsAsFacts(const FactBatchRows& rows) {
+  std::vector<Fact> facts;
+  const Value* at = rows.values.data();
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    facts.emplace_back(rows.relation[i],
+                       std::vector<Value>(at, at + rows.arity[i]));
+    at += rows.arity[i];
+  }
+  EXPECT_EQ(at, rows.values.data() + rows.values.size());
+  return facts;
+}
+
 TEST(WireTest, VarintRoundTripAndSize) {
   Rng rng(5);
   std::vector<std::uint64_t> values = {0,       1,
@@ -116,8 +139,6 @@ TEST(WireTest, PayloadRoundTrips) {
   Rng rng(8);
   std::vector<Fact> owned;
   for (int i = 0; i < 20; ++i) owned.push_back(RandomFact(rng));
-  std::vector<const Fact*> batch;
-  for (const Fact& f : owned) batch.push_back(&f);
 
   const auto hello = DecodeHelloPayload(EncodeHelloPayload(3, 0xdeadbeef));
   ASSERT_TRUE(hello.has_value());
@@ -143,13 +164,10 @@ TEST(WireTest, PayloadRoundTrips) {
   EXPECT_EQ(ctx->span, 4242u);
   EXPECT_EQ(ctx->round, 9u);
 
-  const auto facts = DecodeFactBatchPayload(EncodeFactBatchPayload(9, batch));
-  ASSERT_TRUE(facts.has_value());
-  EXPECT_EQ(facts->round, 9u);
-  ASSERT_EQ(facts->facts.size(), owned.size());
-  for (std::size_t i = 0; i < owned.size(); ++i) {
-    EXPECT_EQ(facts->facts[i], owned[i]);
-  }
+  FactBatchRows rows;
+  ASSERT_TRUE(
+      DecodeFactBatchRows(EncodeFactBatchPayload(9, RowRefs(owned)), 9, rows));
+  EXPECT_EQ(RowsAsFacts(rows), owned);
 
   const auto msg =
       DecodeMessagePayload(EncodeMessagePayload(42, 7, 12345, owned));
@@ -177,12 +195,10 @@ TEST(WireTest, FrameRoundTripThroughArbitraryChunks) {
     for (std::size_t k = rng.Uniform(8); k > 0; --k) {
       owned.push_back(RandomFact(rng));
     }
-    std::vector<const Fact*> batch;
-    for (const Fact& f : owned) batch.push_back(&f);
     switch (rng.Uniform(3)) {
       case 0:
         frame.type = FrameType::kFactBatch;
-        frame.payload = EncodeFactBatchPayload(rng.Uniform(5), batch);
+        frame.payload = EncodeFactBatchPayload(rng.Uniform(5), RowRefs(owned));
         break;
       case 1:
         frame.type = FrameType::kMessage;
@@ -283,7 +299,8 @@ TEST(WireTest, DecoderRejectsMalformedStreams) {
     EXPECT_TRUE(decoder.Next().has_value());
   }
   // Malformed payloads are rejected by the payload decoders.
-  EXPECT_FALSE(DecodeFactBatchPayload({0x01}).has_value());
+  FactBatchRows rows;
+  EXPECT_FALSE(DecodeFactBatchRows({0x01}, 1, rows));
   EXPECT_FALSE(DecodeHelloPayload({}).has_value());
   // A truncated features varint (continuation bit with no next byte) and
   // bytes *after* the features varint are both rejected; a single whole
@@ -348,6 +365,105 @@ TEST(WireTest, DecoderSkipsUnknownFrameTypes) {
   EXPECT_EQ(chunk_decoded.size(), 2u);
 }
 
+TEST(WireTest, FactBatchRowsRoundTripProperty) {
+  Rng rng(10);
+  FactBatchRows rows;  // Reused: each decode must replace its contents.
+  for (int i = 0; i < 200; ++i) {
+    std::vector<Fact> owned;
+    for (std::size_t k = rng.Uniform(12); k > 0; --k) {
+      // Repeat the previous relation often so that runs form.
+      if (!owned.empty() && rng.Uniform(2) == 0) {
+        Fact f = RandomFact(rng);
+        f.relation = owned.back().relation;
+        owned.push_back(std::move(f));
+      } else {
+        owned.push_back(RandomFact(rng));
+      }
+    }
+    const std::uint64_t round = rng.Uniform(300);
+    ASSERT_TRUE(DecodeFactBatchRows(
+        EncodeFactBatchPayload(round, RowRefs(owned)), round, rows));
+    ASSERT_EQ(RowsAsFacts(rows), owned);
+
+    // Runs partition the rows in order, each one relation and arity.
+    std::size_t row = 0;
+    const Value* expect_at = rows.values.data();
+    rows.ForEachRun([&](RelationId relation, const Value* at,
+                        std::size_t count, std::size_t arity) {
+      ASSERT_GT(count, 0u);
+      EXPECT_EQ(at, expect_at);
+      for (std::size_t k = row; k < row + count; ++k) {
+        EXPECT_EQ(rows.relation[k], relation);
+        EXPECT_EQ(rows.arity[k], arity);
+      }
+      if (row + count < rows.size()) {
+        EXPECT_TRUE(rows.relation[row + count] != relation ||
+                    rows.arity[row + count] != arity);
+      }
+      row += count;
+      expect_at += count * arity;
+    });
+    EXPECT_EQ(row, rows.size());
+  }
+}
+
+TEST(WireTest, FactBatchRowsRejectsMalformedPayloads) {
+  const Fact small(0, {Value(1), Value(-1)});
+  const Fact wide(3, {Value(1000000), Value(-1000000), Value(0)});
+  const std::vector<std::uint8_t> good =
+      EncodeFactBatchPayload(5, RowRefs({small, wide}));
+  FactBatchRows rows;
+  ASSERT_TRUE(DecodeFactBatchRows(good, 5, rows));
+
+  // Every strict prefix is a truncation somewhere: inside a varint, before
+  // a row's arguments, or short of the announced row count.
+  for (std::size_t n = 0; n < good.size(); ++n) {
+    const std::vector<std::uint8_t> prefix(good.begin(), good.begin() + n);
+    EXPECT_FALSE(DecodeFactBatchRows(prefix, 5, rows)) << n;
+  }
+  // A truncated varint: the last byte announces a continuation.
+  std::vector<std::uint8_t> truncated_varint = good;
+  truncated_varint.back() |= 0x80;
+  EXPECT_FALSE(DecodeFactBatchRows(truncated_varint, 5, rows));
+  // An overlong varint (11 continuation bytes) as the row count.
+  std::vector<std::uint8_t> overlong = {0x05};
+  overlong.insert(overlong.end(), 11, 0x80);
+  overlong.push_back(0x01);
+  EXPECT_FALSE(DecodeFactBatchRows(overlong, 5, rows));
+  // An arity larger than the bytes left: round 5, one row of relation 0
+  // claiming 1000 arguments with two bytes behind it.
+  std::vector<std::uint8_t> wide_arity = {0x05, 0x01, 0x00};
+  PutVarint(wide_arity, 1000);
+  wide_arity.push_back(0x02);
+  wide_arity.push_back(0x04);
+  EXPECT_FALSE(DecodeFactBatchRows(wide_arity, 5, rows));
+  // A huge arity must not be reserved for before it is rejected.
+  std::vector<std::uint8_t> huge_arity = {0x05, 0x01, 0x00};
+  PutVarint(huge_arity, ~0ull);
+  EXPECT_FALSE(DecodeFactBatchRows(huge_arity, 5, rows));
+  // A row count larger than the payload itself.
+  std::vector<std::uint8_t> many_rows = {0x05};
+  PutVarint(many_rows, 1ull << 40);
+  many_rows.push_back(0x00);
+  many_rows.push_back(0x00);
+  EXPECT_FALSE(DecodeFactBatchRows(many_rows, 5, rows));
+  // A row count larger than the rows present (but not than the payload).
+  std::vector<std::uint8_t> short_rows = good;
+  short_rows[1] = 3;
+  EXPECT_FALSE(DecodeFactBatchRows(short_rows, 5, rows));
+  // Trailing bytes after the last row.
+  std::vector<std::uint8_t> trailing = good;
+  trailing.push_back(0x00);
+  EXPECT_FALSE(DecodeFactBatchRows(trailing, 5, rows));
+  // A well-formed batch of another round.
+  EXPECT_FALSE(DecodeFactBatchRows(good, 4, rows));
+  EXPECT_FALSE(DecodeFactBatchRows(good, 6, rows));
+
+  // A failed decode leaves the reused buffers fit for the next batch.
+  ASSERT_TRUE(DecodeFactBatchRows(good, 5, rows));
+  EXPECT_EQ(RowsAsFacts(rows), (std::vector<Fact>{small, wide}));
+}
+
 // Deterministic frame stream covering every type and the interesting
 // value shapes (empty batch, negative args, multi-byte varints).
 std::vector<std::uint8_t> GoldenStream() {
@@ -364,10 +480,10 @@ std::vector<std::uint8_t> GoldenStream() {
   const Fact wide(3, {Value(1000000), Value(-1000000), Value(0)});
   const Fact nullary(7, {});
   AppendFrame(stream, {kWireVersion, FrameType::kFactBatch, 2, 3,
-                       EncodeFactBatchPayload(4, {&small, &wide, &nullary})});
-  AppendFrame(stream, {kWireVersion, FrameType::kFactBatch, 3, 2,
                        EncodeFactBatchPayload(
-                           0, std::vector<const Fact*>{})});
+                           4, RowRefs({small, wide, nullary}))});
+  AppendFrame(stream, {kWireVersion, FrameType::kFactBatch, 3, 2,
+                       EncodeFactBatchPayload(0, std::vector<RowRef>{})});
   AppendFrame(stream, {kWireVersion, FrameType::kMessage, 200, 300,
                        EncodeMessagePayload(77, 5, 42, {small, wide})});
   AppendFrame(stream, {kWireVersion, FrameType::kStats, 1, 0,
@@ -401,10 +517,10 @@ TEST(WireTest, GoldenFrameDumpIsStable) {
   while (auto frame = decoder.Next()) {
     ++frames;
     if (frame->type == FrameType::kFactBatch && frame->from == 2) {
-      const auto batch = DecodeFactBatchPayload(frame->payload);
-      ASSERT_TRUE(batch.has_value());
-      EXPECT_EQ(batch->round, 4u);
-      EXPECT_EQ(batch->facts.size(), 3u);
+      FactBatchRows batch;
+      ASSERT_TRUE(DecodeFactBatchRows(frame->payload, 4, batch));
+      EXPECT_EQ(batch.size(), 3u);
+      EXPECT_EQ(batch.values.size(), 5u);
     }
   }
   EXPECT_FALSE(decoder.error());

@@ -478,6 +478,7 @@ void RunWorker(const Scenario& scenario, std::size_t rank,
   // order, so dedup decisions and loads replay the simulator's exactly.
   WorkerReport report;
   Instance received;
+  transport::FactBatchRows batch;  // Reused across peers.
   {
     obs::TraceSpan span("proc.drain", static_cast<std::uint32_t>(rank));
     for (std::size_t source = 0; source < p; ++source) {
@@ -508,11 +509,13 @@ void RunWorker(const Scenario& scenario, std::size_t rank,
         obs::Emit(obs::EventKind::kDistRecv, frame.from,
                   static_cast<std::uint32_t>(ctx->round), ctx->span);
       }
-      const auto batch = transport::DecodeFactBatchPayload(frame.payload);
-      LAMP_CHECK(batch.has_value() && batch->round == 0);
-      for (const Fact& f : batch->facts) {
-        if (received.Insert(f)) ++report.load;
-      }
+      LAMP_CHECK(transport::DecodeFactBatchRows(frame.payload, 0, batch));
+      batch.ForEachRun([&received, &report](RelationId relation,
+                                            const Value* rows,
+                                            std::size_t count,
+                                            std::size_t arity) {
+        report.load += received.InsertRows(relation, rows, count, arity);
+      });
     }
   }
 
@@ -726,6 +729,7 @@ DistResult RunDistributed(const std::string& name, transport::TransportKind
   for (std::size_t r = 0; r < p; ++r) ::close(pipes[r][1]);
 
   DistResult result;
+  transport::FactBatchRows batch;  // Reused across workers.
   result.loads.assign(p, 0);
   result.wire_bytes.assign(p, 0);
   for (std::size_t r = 0; r < p; ++r) {
@@ -741,9 +745,11 @@ DistResult RunDistributed(const std::string& name, transport::TransportKind
         result.wire_bytes[r] = stats->wire_bytes;
       } else {
         LAMP_CHECK(frame.type == transport::FrameType::kFactBatch);
-        const auto batch = transport::DecodeFactBatchPayload(frame.payload);
-        LAMP_CHECK(batch.has_value());
-        for (const Fact& f : batch->facts) result.output.Insert(f);
+        LAMP_CHECK(transport::DecodeFactBatchRows(frame.payload, 0, batch));
+        batch.ForEachRun([&result](RelationId relation, const Value* rows,
+                                   std::size_t count, std::size_t arity) {
+          result.output.InsertRows(relation, rows, count, arity);
+        });
       }
     }
     ::close(pipes[r][0]);
