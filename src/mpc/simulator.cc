@@ -8,14 +8,6 @@ namespace lamp {
 
 namespace {
 
-/// One routed fact in a worker's outbox, as a columnar row reference. The
-/// row pointer aims into the source server's local instance, which is
-/// immutable for the whole communication phase — routing copies no facts.
-struct Routed {
-  transport::RowRef row;
-  NodeId source;
-};
-
 /// Rows bound for one instance, counted per relation before any is
 /// inserted, so the instance can be sized once (count, then scatter).
 class RowCounts {
@@ -48,22 +40,17 @@ MpcSimulator::MpcSimulator(std::size_t num_servers) {
   locals_.resize(num_servers);
 }
 
-void MpcSimulator::LoadInput(const Instance& global) {
-  const std::size_t p = locals_.size();
-  locals_.assign(p, Instance());
-  output_ = Instance();
-  stats_ = RunStats();
-  // Fact i of the global (relation, insertion) order goes to server
-  // i % p. Each server's share of a relation is a stride of its rows:
-  // reserve the share, then insert it in order.
+Instance MpcSimulator::InputShare(const Instance& global, std::size_t p,
+                                  NodeId server) {
+  // The server's share of a relation is a stride of its rows: reserve the
+  // share, then insert it in order.
+  Instance local;
   std::size_t offset = 0;  // Global index of the relation's first row.
   for (RelationId rel = 0; rel < global.RelationBound(); ++rel) {
     const RowsView rows = global.RowsOf(rel);
     if (rows.empty()) continue;
-    for (std::size_t server = 0; server < p; ++server) {
-      const std::size_t first = (server + p - offset % p) % p;
-      if (first >= rows.num_rows) continue;
-      Instance& local = locals_[server];
+    const std::size_t first = (server + p - offset % p) % p;
+    if (first < rows.num_rows) {
       local.Reserve(rel, rows.arity, (rows.num_rows - first + p - 1) / p);
       for (std::size_t j = first; j < rows.num_rows; j += p) {
         local.InsertRow(rel, rows.Row(j), rows.arity);
@@ -71,6 +58,85 @@ void MpcSimulator::LoadInput(const Instance& global) {
     }
     offset += rows.num_rows;
   }
+  return local;
+}
+
+void MpcSimulator::LoadInput(const Instance& global) {
+  const std::size_t p = locals_.size();
+  for (std::size_t server = 0; server < p; ++server) {
+    locals_[server] = InputShare(global, p, static_cast<NodeId>(server));
+  }
+  output_ = Instance();
+  stats_ = RunStats();
+}
+
+void MpcSimulator::RouteServer(const Router& route, NodeId source,
+                               const Instance& local, std::size_t num_servers,
+                               Outbox& out) {
+  out.assign(num_servers, Batch());
+  Fact scratch;  // Router argument, rebuilt per row.
+  for (RelationId rel = 0; rel < local.NumRelationIds(); ++rel) {
+    const RowsView rows = local.RowsOf(rel);
+    if (rows.num_rows == 0) continue;
+    scratch.relation = rel;
+    for (std::size_t i = 0; i < rows.num_rows; ++i) {
+      const Value* row = rows.Row(i);
+      scratch.args.assign(row, row + rows.arity);
+      for (NodeId target : route(source, scratch)) {
+        LAMP_CHECK(target < num_servers);
+        out[target].push_back(transport::RowRef{
+            rel, row, static_cast<std::uint32_t>(rows.arity)});
+      }
+    }
+  }
+}
+
+MpcSimulator::MergeStats MpcSimulator::MergeServer(
+    NodeId target, std::uint32_t round, const std::vector<const Batch*>& inbox,
+    Instance& into) {
+  RowCounts counts;
+  for (const Batch* batch : inbox) {
+    if (batch == nullptr) continue;
+    for (const transport::RowRef& r : *batch) {
+      counts.Add(r.relation, r.arity, 1);
+    }
+  }
+  counts.ReserveIn(into);
+  MergeStats stats;
+  for (NodeId source = 0; source < inbox.size(); ++source) {
+    if (inbox[source] == nullptr || inbox[source]->empty()) continue;
+    const Batch& batch = *inbox[source];
+    // A row kept at its current server persists, but is not communication
+    // (the model's load is the data *received* during the round).
+    const bool remote = source != target;
+    std::size_t row_bytes = 0;
+    for (const transport::RowRef& r : batch) {
+      if (remote) row_bytes += transport::EncodedRowSize(r);
+      if (into.InsertRow(r.relation, r.row, r.arity) && remote) ++stats.load;
+    }
+    if (!remote) continue;
+    stats.wire_bytes += transport::FactBatchFrameSize(
+        source, target,
+        transport::VarintSize(round) + transport::VarintSize(batch.size()) +
+            row_bytes);
+  }
+  return stats;
+}
+
+std::size_t MpcSimulator::ReceiveBatch(transport::Transport& wire,
+                                       NodeId target, NodeId source,
+                                       std::uint32_t round,
+                                       transport::FactBatchRows& rows,
+                                       Batch& refs) {
+  const transport::WireFrame frame = wire.Recv(target, source);
+  LAMP_CHECK_MSG(frame.type == transport::FrameType::kFactBatch &&
+                     frame.from == source && frame.to == target,
+                 "mpc: expected a fact batch on the wire");
+  LAMP_CHECK_MSG(transport::DecodeFactBatchRows(frame.payload, round, rows),
+                 "mpc: malformed fact batch on the wire");
+  refs.clear();
+  rows.AppendRowRefs(refs);
+  return transport::FrameWireSize(frame);
 }
 
 MpcRunResult MpcSimulator::TakeResult() && {
@@ -91,183 +157,60 @@ void MpcSimulator::RunRound(const Router& route, const Computer& compute) {
 
   par::ThreadPool& pool = par::GlobalPool();
 
-  // Communication phase, step 1: each worker routes a contiguous shard of
-  // source servers into its own per-target outbox. Within an outbox the
-  // routed facts appear in (source, fact, route-target) order — the order
-  // the serial loop would visit them.
+  // Communication phase. Route step: every source routes its rows into
+  // its own outbox. Merge step: every target inserts its batches in
+  // ascending source order, so dedup decisions and load counts equal the
+  // serial loop's at every thread count and on every backend.
   std::vector<Instance> received(p);
   RoundStats round;
   round.received.assign(p, 0);
   round.wire_bytes.assign(p, 0);
   {
     obs::TraceSpan span("mpc.route", round_idx);
-    const std::size_t shards = pool.NumChunks(p);
-    std::vector<std::vector<std::vector<Routed>>> outbox(shards);
-    pool.ParallelChunks(
-        0, p,
-        [this, p, &route, &outbox](std::size_t shard, std::size_t lo,
-                                   std::size_t hi) {
-          std::vector<std::vector<Routed>>& out = outbox[shard];
-          out.resize(p);
-          Fact scratch;  // Router argument, rebuilt per row.
-          for (std::size_t source = lo; source < hi; ++source) {
-            const auto src = static_cast<NodeId>(source);
-            const Instance& local = locals_[source];
-            for (RelationId rel = 0; rel < local.NumRelationIds(); ++rel) {
-              const RowsView rows = local.RowsOf(rel);
-              if (rows.num_rows == 0) continue;
-              scratch.relation = rel;
-              for (std::size_t i = 0; i < rows.num_rows; ++i) {
-                const Value* row = rows.Row(i);
-                scratch.args.assign(row, row + rows.arity);
-                for (NodeId target : route(src, scratch)) {
-                  LAMP_CHECK(target < p);
-                  out[target].push_back(Routed{
-                      transport::RowRef{
-                          rel, row, static_cast<std::uint32_t>(rows.arity)},
-                      src});
-                }
-              }
-            }
-          }
-        });
+    std::vector<Outbox> outbox(p);
+    pool.ParallelFor(0, p, [this, p, &route, &outbox](std::size_t source) {
+      RouteServer(route, static_cast<NodeId>(source), locals_[source], p,
+                  outbox[source]);
+    });
 
     transport::Transport* wire = WireTransport();
-    if (wire == nullptr) {
-      // Step 2 (in-process): merge outboxes per target, ascending shard
-      // order. Targets are independent, so the merge itself fans out; the
-      // per-target insert sequence equals the serial one, keeping dedup
-      // decisions and load counts byte-identical. The target's rows are
-      // counted per relation and reserved before the first insert, so
-      // the merge never grows storage. A fact kept at its
-      // current server is not communicated: it persists but does not count
-      // toward the load (the model's load is the data *received* by a
-      // server during the round). Wire bytes are accounted in closed form:
-      // the bytes the socket backends would ship for the same traffic,
-      // one kFactBatch frame per (source, target) run.
-      pool.ParallelFor(0, p, [&received, &round, &outbox,
-                              round_idx](std::size_t target) {
-        const auto tgt = static_cast<NodeId>(target);
-        std::size_t& load = round.received[target];
-        std::size_t& bytes = round.wire_bytes[target];
-        NodeId run_source = 0;
-        std::size_t run_count = 0;
-        std::size_t run_fact_bytes = 0;
-        const auto flush_run = [&] {
-          if (run_count == 0) return;
-          const std::size_t payload = transport::VarintSize(round_idx) +
-                                      transport::VarintSize(run_count) +
-                                      run_fact_bytes;
-          bytes += transport::FactBatchFrameSize(run_source, tgt, payload);
-          run_count = 0;
-          run_fact_bytes = 0;
-        };
-        RowCounts counts;
-        for (const auto& out : outbox) {
-          for (const Routed& r : out[target]) {
-            counts.Add(r.row.relation, r.row.arity, 1);
-          }
-        }
-        counts.ReserveIn(received[target]);
-        for (const auto& out : outbox) {
-          for (const Routed& r : out[target]) {
-            if (r.source != tgt) {
-              if (run_count != 0 && r.source != run_source) flush_run();
-              run_source = r.source;
-              ++run_count;
-              run_fact_bytes += transport::EncodedRowSize(r.row);
-            }
-            if (received[target].InsertRow(r.row.relation, r.row.row,
-                                           r.row.arity) &&
-                tgt != r.source) {
-              ++load;
-            }
-          }
-        }
-        flush_run();
-      });
-    } else {
-      // Step 2 (sockets): serialize each (source, target != source) run
-      // into one kFactBatch frame and ship it. Sources are ascending per
-      // target (shards are contiguous ascending ranges), so senders[t]
-      // comes out ascending too.
-      std::vector<std::vector<NodeId>> senders(p);
-      std::vector<transport::RowRef> batch;
-      for (const auto& out : outbox) {
-        for (std::size_t target = 0; target < p; ++target) {
-          const std::vector<Routed>& entries = out[target];
-          std::size_t i = 0;
-          while (i < entries.size()) {
-            const NodeId src = entries[i].source;
-            batch.clear();
-            while (i < entries.size() && entries[i].source == src) {
-              batch.push_back(entries[i].row);
-              ++i;
-            }
-            if (src == static_cast<NodeId>(target)) continue;  // Stays local.
-            transport::WireFrame frame;
-            frame.type = transport::FrameType::kFactBatch;
-            frame.from = src;
-            frame.to = static_cast<std::uint32_t>(target);
-            frame.payload = transport::EncodeFactBatchPayload(round_idx,
-                                                              batch);
-            wire->Send(std::move(frame));
-            senders[target].push_back(src);
+    if (wire != nullptr) {
+      // Ship every nonempty cross-server batch as one frame. Receivers
+      // know from the outboxes which sources sent them something.
+      for (NodeId source = 0; source < p; ++source) {
+        for (NodeId target = 0; target < p; ++target) {
+          const Batch& batch = outbox[source][target];
+          if (target != source && !batch.empty()) {
+            wire->Send({transport::kWireVersion,
+                        transport::FrameType::kFactBatch, source, target,
+                        transport::EncodeFactBatchPayload(round_idx, batch)});
           }
         }
       }
-      // Each target first drains and decodes its channels in ascending
-      // source order and counts every incoming row, own entries included,
-      // per relation; it reserves that many, then inserts in ascending
-      // source order with the self-routed (local) entries at its own
-      // position — the exact in-process insert sequence, so digests cannot
-      // move.
-      pool.ParallelFor(0, p, [&received, &round, &outbox, &senders, wire, p,
-                              round_idx](std::size_t target) {
-        const auto tgt = static_cast<NodeId>(target);
-        std::vector<transport::FactBatchRows> batches(p);
-        RowCounts counts;
-        for (const NodeId source : senders[target]) {
-          transport::WireFrame frame = wire->Recv(
-              static_cast<std::uint32_t>(target), source);
-          LAMP_CHECK(frame.type == transport::FrameType::kFactBatch);
-          round.wire_bytes[target] += transport::FrameWireSize(frame);
-          transport::FactBatchRows& batch = batches[source];
-          LAMP_CHECK_MSG(
-              transport::DecodeFactBatchRows(frame.payload, round_idx, batch),
-              "mpc: malformed fact batch on the wire");
-          batch.ForEachRun([&counts](RelationId relation, const Value*,
-                                     std::size_t count, std::size_t arity) {
-            counts.Add(relation, arity, count);
-          });
-        }
-        for (const auto& out : outbox) {
-          for (const Routed& r : out[target]) {
-            if (r.source == tgt) counts.Add(r.row.relation, r.row.arity, 1);
-          }
-        }
-        Instance& into = received[target];
-        counts.ReserveIn(into);
-        std::size_t& load = round.received[target];
-        for (NodeId source = 0; source < p; ++source) {
-          if (source != tgt) {
-            batches[source].ForEachRun(
-                [&into, &load](RelationId relation, const Value* rows,
-                               std::size_t count, std::size_t arity) {
-                  load += into.InsertRows(relation, rows, count, arity);
-                });
-            continue;
-          }
-          for (const auto& out : outbox) {
-            for (const Routed& r : out[target]) {
-              if (r.source == tgt) {
-                into.InsertRow(r.row.relation, r.row.row, r.row.arity);
-              }
-            }
-          }
-        }
-      });
     }
+    pool.ParallelFor(0, p, [&received, &round, &outbox, wire, p,
+                            round_idx](std::size_t target) {
+      const auto tgt = static_cast<NodeId>(target);
+      std::vector<const Batch*> inbox(p);
+      std::vector<transport::FactBatchRows> decoded(wire != nullptr ? p : 0);
+      std::vector<Batch> refs(wire != nullptr ? p : 0);
+      std::size_t measured = 0;
+      for (NodeId source = 0; source < p; ++source) {
+        inbox[source] = &outbox[source][target];
+        if (wire == nullptr || source == tgt || inbox[source]->empty()) {
+          continue;
+        }
+        measured += ReceiveBatch(*wire, tgt, source, round_idx,
+                                 decoded[source], refs[source]);
+        inbox[source] = &refs[source];
+      }
+      const MergeStats stats =
+          MergeServer(tgt, round_idx, inbox, received[target]);
+      LAMP_CHECK_MSG(wire == nullptr || measured == stats.wire_bytes,
+                     "mpc: measured wire bytes disagree with the closed form");
+      round.received[target] = stats.load;
+      round.wire_bytes[target] = stats.wire_bytes;
+    });
   }
   std::size_t round_total = 0;
   if (obs::InstalledTracer() != nullptr) {

@@ -3,6 +3,7 @@
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -131,7 +132,10 @@ MpcRunResult SemijoinReduce(const ConjunctiveQuery& query,
                   HashCombine(seed, ++round));
   }
 
-  return {sim.GlobalState(), sim.stats()};
+  Instance reduced = sim.GlobalState();
+  MpcRunResult result = std::move(sim).TakeResult();
+  result.output = std::move(reduced);
+  return result;
 }
 
 MpcRunResult YannakakisMpc(Schema& schema, const ConjunctiveQuery& query,

@@ -1,14 +1,11 @@
 #include "transport/transport.h"
 
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cerrno>
-
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdlib>
@@ -20,13 +17,11 @@
 
 #include "common/check.h"
 #include "obs/trace.h"
+#include "transport/framed_fd.h"
 
 namespace lamp::transport {
 
 namespace {
-
-/// Read chunk size of the relay loop and the endpoint receive path.
-constexpr std::size_t kReadChunk = 1 << 16;
 
 void EmitConnect(TransportKind kind, std::size_t endpoints, std::size_t fds) {
   obs::Emit(obs::EventKind::kTransportConnect,
@@ -34,13 +29,35 @@ void EmitConnect(TransportKind kind, std::size_t endpoints, std::size_t fds) {
             static_cast<std::uint32_t>(kind), fds);
 }
 
-void EmitSend(const WireFrame& frame, std::size_t bytes) {
-  obs::Emit(obs::EventKind::kTransportSend, frame.from, frame.to, bytes);
-}
+/// Traffic counters, plus the send/recv trace events every backend emits.
+class WireCounters {
+ public:
+  void Sent(const WireFrame& frame, std::size_t bytes) {
+    obs::Emit(obs::EventKind::kTransportSend, frame.from, frame.to, bytes);
+    frames_sent_.fetch_add(1, std::memory_order_relaxed);
+    bytes_sent_.fetch_add(bytes, std::memory_order_relaxed);
+  }
 
-void EmitRecv(const WireFrame& frame, std::size_t bytes) {
-  obs::Emit(obs::EventKind::kTransportRecv, frame.to, frame.from, bytes);
-}
+  void Received(const WireFrame& frame) {
+    const std::size_t bytes = FrameWireSize(frame);
+    obs::Emit(obs::EventKind::kTransportRecv, frame.to, frame.from, bytes);
+    frames_received_.fetch_add(1, std::memory_order_relaxed);
+    bytes_received_.fetch_add(bytes, std::memory_order_relaxed);
+  }
+
+  WireStats Snapshot() const {
+    return WireStats{frames_sent_.load(std::memory_order_relaxed),
+                     bytes_sent_.load(std::memory_order_relaxed),
+                     frames_received_.load(std::memory_order_relaxed),
+                     bytes_received_.load(std::memory_order_relaxed)};
+  }
+
+ private:
+  std::atomic<std::uint64_t> frames_sent_{0};
+  std::atomic<std::uint64_t> bytes_sent_{0};
+  std::atomic<std::uint64_t> frames_received_{0};
+  std::atomic<std::uint64_t> bytes_received_{0};
+};
 
 /// The default backend: one FIFO deque per (from, to) channel. Frames are
 /// never serialized, but wire bytes are accounted with FrameWireSize so
@@ -57,16 +74,13 @@ class InProcessTransport final : public Transport {
 
   void Send(WireFrame frame) override {
     LAMP_CHECK(frame.from < n_ && frame.to < n_);
-    const std::size_t bytes = FrameWireSize(frame);
-    EmitSend(frame, bytes);
+    counters_.Sent(frame, FrameWireSize(frame));
     Channel& ch = channels_[frame.from * n_ + frame.to];
     {
       std::lock_guard<std::mutex> lock(ch.mu);
       ch.frames.push_back(std::move(frame));
     }
     ch.cv.notify_one();
-    frames_sent_.fetch_add(1, std::memory_order_relaxed);
-    bytes_sent_.fetch_add(bytes, std::memory_order_relaxed);
   }
 
   WireFrame Recv(std::uint32_t to, std::uint32_t from) override {
@@ -77,21 +91,13 @@ class InProcessTransport final : public Transport {
     WireFrame frame = std::move(ch.frames.front());
     ch.frames.pop_front();
     lock.unlock();
-    const std::size_t bytes = FrameWireSize(frame);
-    EmitRecv(frame, bytes);
-    frames_received_.fetch_add(1, std::memory_order_relaxed);
-    bytes_received_.fetch_add(bytes, std::memory_order_relaxed);
+    counters_.Received(frame);
     return frame;
   }
 
   void Shutdown() override {}
 
-  WireStats stats() const override {
-    return WireStats{frames_sent_.load(std::memory_order_relaxed),
-                     bytes_sent_.load(std::memory_order_relaxed),
-                     frames_received_.load(std::memory_order_relaxed),
-                     bytes_received_.load(std::memory_order_relaxed)};
-  }
+  WireStats stats() const override { return counters_.Snapshot(); }
 
  private:
   struct Channel {
@@ -102,41 +108,40 @@ class InProcessTransport final : public Transport {
 
   std::size_t n_;
   std::vector<Channel> channels_;
-  std::atomic<std::uint64_t> frames_sent_{0};
-  std::atomic<std::uint64_t> bytes_sent_{0};
-  std::atomic<std::uint64_t> frames_received_{0};
-  std::atomic<std::uint64_t> bytes_received_{0};
+  WireCounters counters_;
 };
-
-void WriteAll(int fd, const std::uint8_t* data, std::size_t size) {
-  while (size > 0) {
-    const ssize_t n = ::write(fd, data, size);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      LAMP_CHECK_MSG(false, "transport: socket write failed");
-    }
-    data += n;
-    size -= static_cast<std::size_t>(n);
-  }
-}
 
 /// Socket backends: every endpoint holds one stream socket whose peer end
 /// belongs to a relay thread that forwards frames to their destination
-/// endpoint. The relay polls, never blocks on writes (pending bytes queue
-/// in userspace), so senders cannot deadlock against receivers that have
-/// not started draining — the shape of an MPC communication phase.
+/// endpoint. The relay queues forwarded bytes in userspace and never stops
+/// reading, so an endpoint send may flush to completion.
 class SocketRelayTransport final : public Transport {
  public:
   SocketRelayTransport(TransportKind kind, std::size_t num_endpoints)
       : kind_(kind), n_(num_endpoints), endpoints_(num_endpoints) {
-    std::vector<int> relay_fds;
-    if (kind_ == TransportKind::kUds) {
-      relay_fds = ConnectUds();
-    } else {
-      relay_fds = ConnectTcp();
+    // One socket pair per endpoint: [0] stays with the endpoint, [1] goes
+    // to the relay. Rank mapping is positional — no handshake needed.
+    std::vector<FramedFd> relay_side(n_);
+    for (std::size_t i = 0; i < n_; ++i) {
+      const std::array<int, 2> pair = SocketPair(kind_);
+      endpoints_[i].link = FramedFd(pair[0]);
+      endpoints_[i].inbox.resize(n_);
+      relay_side[i] = FramedFd(pair[1]);
     }
+    LAMP_CHECK_MSG(::pipe(wake_pipe_) == 0, "transport: pipe failed");
     EmitConnect(kind_, n_, 2 * n_);
-    relay_ = std::thread([this, relay_fds] { RelayLoop(relay_fds); });
+    relay_ = std::thread([this, links = std::move(relay_side)]() mutable {
+      // Forward every frame to its destination's write queue until
+      // Shutdown writes to the wake pipe.
+      std::vector<bool> closed(n_, false);
+      while (!PollLinks(links, closed, wake_pipe_[0],
+                        [&links, this](std::size_t, WireFrame frame) {
+                          LAMP_CHECK_MSG(frame.to < n_,
+                                         "transport: bad destination");
+                          links[frame.to].Queue(frame);
+                        })) {
+      }
+    });
   }
 
   ~SocketRelayTransport() override { Shutdown(); }
@@ -147,16 +152,9 @@ class SocketRelayTransport final : public Transport {
   void Send(WireFrame frame) override {
     LAMP_CHECK(frame.from < n_ && frame.to < n_);
     Endpoint& ep = endpoints_[frame.from];
-    std::vector<std::uint8_t> bytes;
-    bytes.reserve(FrameWireSize(frame));
-    AppendFrame(bytes, frame);
-    EmitSend(frame, bytes.size());
-    {
-      std::lock_guard<std::mutex> lock(ep.send_mu);
-      WriteAll(ep.fd, bytes.data(), bytes.size());
-    }
-    frames_sent_.fetch_add(1, std::memory_order_relaxed);
-    bytes_sent_.fetch_add(bytes.size(), std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(ep.send_mu);
+    counters_.Sent(frame, ep.link.Queue(frame));
+    ep.link.Flush();
   }
 
   WireFrame Recv(std::uint32_t to, std::uint32_t from) override {
@@ -164,26 +162,16 @@ class SocketRelayTransport final : public Transport {
     Endpoint& ep = endpoints_[to];
     std::lock_guard<std::mutex> lock(ep.recv_mu);
     while (ep.inbox[from].empty()) {
-      // Drain the endpoint socket; frames for other channels of `to` are
-      // buffered in their inbox, preserving per-channel FIFO.
-      std::uint8_t buf[kReadChunk];
-      const ssize_t n = ::read(ep.fd, buf, sizeof buf);
-      if (n < 0 && errno == EINTR) continue;
-      LAMP_CHECK_MSG(n > 0, "transport: socket closed while receiving");
-      ep.decoder.Feed(buf, static_cast<std::size_t>(n));
-      while (std::optional<WireFrame> frame = ep.decoder.Next()) {
-        LAMP_CHECK_MSG(frame->to == to && frame->from < n_,
-                       "transport: misrouted frame");
-        ep.inbox[frame->from].push_back(*std::move(frame));
-      }
-      LAMP_CHECK_MSG(!ep.decoder.error(), "transport: corrupt frame stream");
+      // Frames for other channels of `to` are buffered in their inbox,
+      // preserving per-channel FIFO.
+      WireFrame frame = ep.link.ReadFrame();
+      LAMP_CHECK_MSG(frame.to == to && frame.from < n_,
+                     "transport: misrouted frame");
+      ep.inbox[frame.from].push_back(std::move(frame));
     }
     WireFrame frame = std::move(ep.inbox[from].front());
     ep.inbox[from].pop_front();
-    const std::size_t bytes = FrameWireSize(frame);
-    EmitRecv(frame, bytes);
-    frames_received_.fetch_add(1, std::memory_order_relaxed);
-    bytes_received_.fetch_add(bytes, std::memory_order_relaxed);
+    counters_.Received(frame);
     return frame;
   }
 
@@ -192,180 +180,23 @@ class SocketRelayTransport final : public Transport {
     if (!stopped_.compare_exchange_strong(expected, true)) return;
     // Wake the relay: one byte down the self-pipe, then join.
     const std::uint8_t byte = 0;
-    WriteAll(wake_pipe_[1], &byte, 1);
+    LAMP_CHECK_MSG(::write(wake_pipe_[1], &byte, 1) == 1,
+                   "transport: relay wake-up failed");
     if (relay_.joinable()) relay_.join();
     ::close(wake_pipe_[0]);
     ::close(wake_pipe_[1]);
-    for (Endpoint& ep : endpoints_) {
-      if (ep.fd >= 0) ::close(ep.fd);
-      ep.fd = -1;
-    }
+    for (Endpoint& ep : endpoints_) ep.link.Close();
   }
 
-  WireStats stats() const override {
-    return WireStats{frames_sent_.load(std::memory_order_relaxed),
-                     bytes_sent_.load(std::memory_order_relaxed),
-                     frames_received_.load(std::memory_order_relaxed),
-                     bytes_received_.load(std::memory_order_relaxed)};
-  }
+  WireStats stats() const override { return counters_.Snapshot(); }
 
  private:
   struct Endpoint {
-    int fd = -1;
+    FramedFd link;  // Write side under send_mu, read side under recv_mu.
     std::mutex send_mu;
     std::mutex recv_mu;
-    FrameDecoder decoder;
     std::vector<std::deque<WireFrame>> inbox;
   };
-
-  /// One socketpair per endpoint: [0] stays with the endpoint, [1] goes to
-  /// the relay. Rank mapping is positional — no handshake needed.
-  std::vector<int> ConnectUds() {
-    std::vector<int> relay_fds(n_, -1);
-    for (std::size_t i = 0; i < n_; ++i) {
-      int sv[2];
-      LAMP_CHECK_MSG(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) == 0,
-                     "transport: socketpair failed");
-      endpoints_[i].fd = sv[0];
-      endpoints_[i].inbox.resize(n_);
-      relay_fds[i] = sv[1];
-    }
-    InitWakePipe();
-    return relay_fds;
-  }
-
-  /// One listener on an ephemeral 127.0.0.1 port; every endpoint connects
-  /// and identifies itself with a kHello frame (accept order on loopback
-  /// is not a rank order).
-  std::vector<int> ConnectTcp() {
-    const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
-    LAMP_CHECK_MSG(listener >= 0, "transport: socket failed");
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = 0;
-    LAMP_CHECK_MSG(::bind(listener, reinterpret_cast<sockaddr*>(&addr),
-                          sizeof addr) == 0,
-                   "transport: bind failed");
-    socklen_t len = sizeof addr;
-    LAMP_CHECK(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr),
-                             &len) == 0);
-    LAMP_CHECK_MSG(::listen(listener, static_cast<int>(n_)) == 0,
-                   "transport: listen failed");
-
-    std::vector<int> relay_fds(n_, -1);
-    for (std::size_t i = 0; i < n_; ++i) {
-      const int client = ::socket(AF_INET, SOCK_STREAM, 0);
-      LAMP_CHECK_MSG(client >= 0, "transport: socket failed");
-      LAMP_CHECK_MSG(::connect(client, reinterpret_cast<sockaddr*>(&addr),
-                               sizeof addr) == 0,
-                     "transport: connect failed");
-      const int accepted = ::accept(listener, nullptr, nullptr);
-      LAMP_CHECK_MSG(accepted >= 0, "transport: accept failed");
-      int one = 1;
-      ::setsockopt(client, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-      ::setsockopt(accepted, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-      endpoints_[i].fd = client;
-      endpoints_[i].inbox.resize(n_);
-      // Identify the accepted connection: the endpoint sends hello(rank).
-      std::vector<std::uint8_t> hello;
-      WireFrame frame;
-      frame.type = FrameType::kHello;
-      frame.from = static_cast<std::uint32_t>(i);
-      frame.to = static_cast<std::uint32_t>(i);
-      frame.payload = EncodeHelloPayload(i, 0);
-      AppendFrame(hello, frame);
-      WriteAll(client, hello.data(), hello.size());
-      FrameDecoder decoder;
-      std::optional<WireFrame> got;
-      while (!got) {
-        std::uint8_t buf[64];
-        const ssize_t r = ::read(accepted, buf, sizeof buf);
-        LAMP_CHECK_MSG(r > 0, "transport: handshake read failed");
-        decoder.Feed(buf, static_cast<std::size_t>(r));
-        got = decoder.Next();
-        LAMP_CHECK_MSG(!decoder.error(), "transport: handshake corrupt");
-      }
-      LAMP_CHECK(got->type == FrameType::kHello);
-      const auto hello_payload = DecodeHelloPayload(got->payload);
-      LAMP_CHECK(hello_payload.has_value() && hello_payload->rank < n_);
-      LAMP_CHECK_MSG(relay_fds[hello_payload->rank] == -1,
-                     "transport: duplicate rank in handshake");
-      relay_fds[hello_payload->rank] = accepted;
-    }
-    ::close(listener);
-    InitWakePipe();
-    return relay_fds;
-  }
-
-  void InitWakePipe() {
-    LAMP_CHECK_MSG(::pipe(wake_pipe_) == 0, "transport: pipe failed");
-  }
-
-  /// Forwards frames between endpoint sockets. Reads are level-triggered
-  /// poll; writes are non-blocking with per-destination userspace queues.
-  void RelayLoop(std::vector<int> fds) {
-    std::vector<FrameDecoder> decoders(n_);
-    // Pending output per destination: raw frame bytes plus a head cursor.
-    std::vector<std::vector<std::uint8_t>> pending(n_);
-    std::vector<std::size_t> head(n_, 0);
-    std::vector<pollfd> poll_set(n_ + 1);
-
-    for (std::size_t i = 0; i < n_; ++i) {
-      const int flags = ::fcntl(fds[i], F_GETFL, 0);
-      ::fcntl(fds[i], F_SETFL, flags | O_NONBLOCK);
-    }
-
-    while (true) {
-      for (std::size_t i = 0; i < n_; ++i) {
-        poll_set[i].fd = fds[i];
-        poll_set[i].events = POLLIN;
-        if (head[i] < pending[i].size()) poll_set[i].events |= POLLOUT;
-        poll_set[i].revents = 0;
-      }
-      poll_set[n_] = {wake_pipe_[0], POLLIN, 0};
-      const int rc = ::poll(poll_set.data(), poll_set.size(), -1);
-      if (rc < 0 && errno == EINTR) continue;
-      LAMP_CHECK_MSG(rc >= 0, "transport: poll failed");
-      if ((poll_set[n_].revents & POLLIN) != 0) break;  // Shutdown.
-
-      for (std::size_t i = 0; i < n_; ++i) {
-        if ((poll_set[i].revents & (POLLIN | POLLHUP)) != 0) {
-          std::uint8_t buf[kReadChunk];
-          while (true) {
-            const ssize_t n = ::read(fds[i], buf, sizeof buf);
-            if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-            if (n < 0 && errno == EINTR) continue;
-            if (n <= 0) break;  // Peer gone; shutdown will follow.
-            decoders[i].Feed(buf, static_cast<std::size_t>(n));
-            while (std::optional<WireFrame> frame = decoders[i].Next()) {
-              LAMP_CHECK_MSG(frame->to < n_, "transport: bad destination");
-              AppendFrame(pending[frame->to], *frame);
-            }
-            LAMP_CHECK_MSG(!decoders[i].error(),
-                           "transport: relay saw corrupt stream");
-            if (static_cast<std::size_t>(n) < sizeof buf) break;
-          }
-        }
-        if (head[i] < pending[i].size() &&
-            (poll_set[i].revents & POLLOUT) != 0) {
-          const ssize_t n = ::write(fds[i], pending[i].data() + head[i],
-                                    pending[i].size() - head[i]);
-          if (n > 0) head[i] += static_cast<std::size_t>(n);
-          if (head[i] == pending[i].size()) {
-            pending[i].clear();
-            head[i] = 0;
-          } else if (head[i] > (1u << 20) && head[i] * 2 > pending[i].size()) {
-            pending[i].erase(pending[i].begin(),
-                             pending[i].begin() +
-                                 static_cast<std::ptrdiff_t>(head[i]));
-            head[i] = 0;
-          }
-        }
-      }
-    }
-    for (const int fd : fds) ::close(fd);
-  }
 
   TransportKind kind_;
   std::size_t n_;
@@ -373,16 +204,85 @@ class SocketRelayTransport final : public Transport {
   int wake_pipe_[2] = {-1, -1};
   std::thread relay_;
   std::atomic<bool> stopped_{false};
-  std::atomic<std::uint64_t> frames_sent_{0};
-  std::atomic<std::uint64_t> bytes_sent_{0};
-  std::atomic<std::uint64_t> frames_received_{0};
-  std::atomic<std::uint64_t> bytes_received_{0};
+  WireCounters counters_;
+};
+
+/// One rank of a full mesh: a FramedFd per peer. Send queues the frame and
+/// writes what the socket takes; while Recv waits it flushes every queue
+/// and reads every readable peer, so ranks that all send before they
+/// receive never deadlock on socket buffers, whatever the round's volume.
+class MeshTransport final : public Transport {
+ public:
+  MeshTransport(TransportKind kind, std::size_t rank,
+                std::vector<FramedFd> peers)
+      : kind_(kind),
+        rank_(rank),
+        peers_(std::move(peers)),
+        closed_(peers_.size(), false),
+        inbox_(peers_.size()) {
+    LAMP_CHECK(rank_ < peers_.size() && !peers_[rank_].is_open());
+    EmitConnect(kind_, peers_.size(), peers_.size() - 1);
+  }
+
+  ~MeshTransport() override { Shutdown(); }
+
+  TransportKind kind() const override { return kind_; }
+  std::size_t num_endpoints() const override { return peers_.size(); }
+
+  void Send(WireFrame frame) override {
+    LAMP_CHECK(frame.from == rank_ && frame.to < peers_.size() &&
+               frame.to != rank_);
+    FramedFd& peer = peers_[frame.to];
+    counters_.Sent(frame, peer.Queue(frame));
+    peer.FlushSome();
+  }
+
+  WireFrame Recv(std::uint32_t to, std::uint32_t from) override {
+    LAMP_CHECK(to == rank_ && from < peers_.size() && from != rank_);
+    while (inbox_[from].empty()) {
+      LAMP_CHECK_MSG(!closed_[from], "transport: mesh peer closed");
+      Pump();
+    }
+    WireFrame frame = std::move(inbox_[from].front());
+    inbox_[from].pop_front();
+    counters_.Received(frame);
+    return frame;
+  }
+
+  /// Flushes every queued frame (still reading, so two ranks flushing to
+  /// each other both progress), then closes the peer sockets.
+  void Shutdown() override {
+    while (std::any_of(peers_.begin(), peers_.end(),
+                       [](const FramedFd& peer) { return peer.HasQueued(); })) {
+      Pump();
+    }
+    for (FramedFd& peer : peers_) peer.Close();
+  }
+
+  WireStats stats() const override { return counters_.Snapshot(); }
+
+ private:
+  void Pump() {
+    PollLinks(peers_, closed_, -1, [this](std::size_t peer, WireFrame frame) {
+      LAMP_CHECK_MSG(frame.from == peer && frame.to == rank_,
+                     "transport: misrouted frame on the mesh");
+      inbox_[peer].push_back(std::move(frame));
+    });
+  }
+
+  TransportKind kind_;
+  std::size_t rank_;
+  std::vector<FramedFd> peers_;
+  std::vector<bool> closed_;  // Peer has closed its end.
+  std::vector<std::deque<WireFrame>> inbox_;
+  WireCounters counters_;
 };
 
 TransportKind g_active_kind = TransportKind::kInProcess;
 bool g_active_kind_set = false;
 
 }  // namespace
+
 
 std::string_view TransportKindName(TransportKind kind) {
   switch (kind) {
@@ -412,6 +312,39 @@ bool ParseTransportKind(std::string_view name, TransportKind* out) {
   return false;
 }
 
+std::array<int, 2> SocketPair(TransportKind kind) {
+  std::array<int, 2> fds{-1, -1};
+  if (kind == TransportKind::kUds) {
+    LAMP_CHECK_MSG(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds.data()) == 0,
+                   "transport: socketpair failed");
+    return fds;
+  }
+  LAMP_CHECK(kind == TransportKind::kTcp);
+  // A one-shot listener on an ephemeral port: the only pending connection
+  // is ours, so accept returns the peer of fds[0].
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof addr;
+  auto* const sa = reinterpret_cast<sockaddr*>(&addr);
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  LAMP_CHECK_MSG(listener >= 0 && ::bind(listener, sa, len) == 0 &&
+                     ::listen(listener, 1) == 0 &&
+                     ::getsockname(listener, sa, &len) == 0,
+                 "transport: cannot listen on 127.0.0.1");
+  fds[0] = ::socket(AF_INET, SOCK_STREAM, 0);
+  LAMP_CHECK_MSG(fds[0] >= 0 && ::connect(fds[0], sa, len) == 0,
+                 "transport: connect failed");
+  fds[1] = ::accept(listener, nullptr, nullptr);
+  LAMP_CHECK_MSG(fds[1] >= 0, "transport: accept failed");
+  ::close(listener);
+  const int one = 1;
+  for (const int fd : fds) {
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+  }
+  return fds;
+}
+
 std::unique_ptr<Transport> MakeLoopbackTransport(TransportKind kind,
                                                  std::size_t num_endpoints) {
   LAMP_CHECK(num_endpoints > 0);
@@ -419,6 +352,12 @@ std::unique_ptr<Transport> MakeLoopbackTransport(TransportKind kind,
     return std::make_unique<InProcessTransport>(num_endpoints);
   }
   return std::make_unique<SocketRelayTransport>(kind, num_endpoints);
+}
+
+std::unique_ptr<Transport> MakeMeshEndpoint(TransportKind kind,
+                                            std::size_t rank,
+                                            std::vector<FramedFd> peers) {
+  return std::make_unique<MeshTransport>(kind, rank, std::move(peers));
 }
 
 TransportKind ActiveKind() {

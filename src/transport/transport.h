@@ -1,11 +1,14 @@
 #ifndef LAMP_TRANSPORT_TRANSPORT_H_
 #define LAMP_TRANSPORT_TRANSPORT_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string_view>
+#include <vector>
 
+#include "transport/framed_fd.h"
 #include "transport/wire.h"
 
 /// \file
@@ -29,14 +32,16 @@
 ///  * TcpTransport       — real TCP sockets over 127.0.0.1.
 ///  * UdsTransport       — AF_UNIX stream socketpairs.
 ///
-/// The socket backends connect every endpoint to a relay thread that owns
-/// the peer side of all endpoint sockets and forwards each frame to its
-/// destination endpoint (O(p) file descriptors instead of a p^2 mesh; the
-/// multi-process runner tools/mpc_procs builds the true mesh instead).
-/// The relay never blocks on writes — forwarded bytes queue in userspace
-/// when a destination's socket buffer is full — so a round may send its
-/// entire frame volume before any receiver starts draining, exactly what
-/// MpcSimulator's route phase does.
+/// All socket I/O goes through one primitive (FramedFd, framed_fd.h), in
+/// two shapes. The loopback relay (MakeLoopbackTransport) connects every
+/// endpoint to a relay thread that forwards each frame; it takes 2p
+/// descriptors where a full mesh in one process takes p(p-1) — 65,280 at
+/// p = 256 over tcp, past common `ulimit -n` values — so the simulator
+/// keeps it at every p. The mesh endpoint (MakeMeshEndpoint) is one rank
+/// of a full mesh, as tools/mpc_procs runs one per process. Neither
+/// blocks a sender on a receiver that has not started draining (the relay
+/// queues in userspace; the mesh flushes its queues while it waits in
+/// Recv), so a round may send its whole volume before anyone drains.
 ///
 /// Every backend counts wire traffic (WireStats) and emits
 /// kTransportSend/kTransportRecv/kTransportConnect trace events, so
@@ -93,10 +98,24 @@ class Transport {
   virtual WireStats stats() const = 0;
 };
 
+/// A connected pair of stream sockets of socket kind \p kind: a 127.0.0.1
+/// TCP connection (TCP_NODELAY at both ends) or an AF_UNIX socketpair.
+/// Aborts (LAMP_CHECK) if a socket call fails.
+std::array<int, 2> SocketPair(TransportKind kind);
+
 /// Builds a connected loopback transport of \p kind with \p num_endpoints
 /// endpoints. Aborts (LAMP_CHECK) if socket setup fails.
 std::unique_ptr<Transport> MakeLoopbackTransport(TransportKind kind,
                                                  std::size_t num_endpoints);
+
+/// One rank's endpoint of a full mesh: \p peers[r] is the connected socket
+/// to rank r (unopened at r == \p rank). Send takes frames from \p rank;
+/// Recv(to, from) takes to == \p rank. Every frame on a peer's socket must
+/// come from that peer. Shutdown flushes every queued frame before it
+/// closes the sockets. One thread drives the endpoint.
+std::unique_ptr<Transport> MakeMeshEndpoint(TransportKind kind,
+                                            std::size_t rank,
+                                            std::vector<FramedFd> peers);
 
 /// The process-wide backend selection honored by MpcSimulator and
 /// TransducerNetwork. Defaults to kInProcess; the LAMP_TRANSPORT

@@ -25,6 +25,11 @@ void PutU32Le(std::vector<std::uint8_t>& out, std::uint32_t v) {
   out.push_back(static_cast<std::uint8_t>(v >> 24));
 }
 
+RowRef RowOf(const Fact& fact) {
+  return RowRef{fact.relation, fact.args.data(),
+                static_cast<std::uint32_t>(fact.args.size())};
+}
+
 }  // namespace
 
 void PutVarint(std::vector<std::uint8_t>& out, std::uint64_t v) {
@@ -70,15 +75,11 @@ std::optional<std::int64_t> WireReader::ReadZigzag() {
 }
 
 void PutFact(std::vector<std::uint8_t>& out, const Fact& fact) {
-  PutVarint(out, fact.relation);
-  PutVarint(out, fact.args.size());
-  for (const Value arg : fact.args) PutZigzag(out, arg.v);
+  PutRow(out, RowOf(fact));
 }
 
 std::size_t EncodedFactSize(const Fact& fact) {
-  std::size_t n = VarintSize(fact.relation) + VarintSize(fact.args.size());
-  for (const Value arg : fact.args) n += ZigzagSize(arg.v);
-  return n;
+  return EncodedRowSize(RowOf(fact));
 }
 
 void PutRow(std::vector<std::uint8_t>& out, const RowRef& row) {

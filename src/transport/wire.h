@@ -27,8 +27,8 @@
 /// golden dump (tests/golden/wire_frames.bin) pins the byte layout.
 ///
 /// Payload conventions per frame type:
-///  * kHello      — varint rank, varint seed (handshake; the multi-process
-///                  runner's ring seed exchange reuses it).
+///  * kHello      — varint rank, varint seed (the multi-process runner's
+///                  ring seed exchange).
 ///  * kFactBatch  — varint round, varint count, then `count` facts. One
 ///                  batch is everything `from` routes to `to` in one MPC
 ///                  communication phase (batched sends, possibly empty).
@@ -199,6 +199,17 @@ struct FactBatchRows {
   std::vector<Value> values;
 
   std::size_t size() const { return relation.size(); }
+
+  /// Appends one RowRef per row, in row order, pointing into `values` —
+  /// the shape MpcSimulator's merge step takes. Valid while this batch is
+  /// unchanged.
+  void AppendRowRefs(std::vector<RowRef>& out) const {
+    const Value* row = values.data();
+    for (std::size_t i = 0; i < relation.size(); ++i) {
+      out.push_back(RowRef{relation[i], row, arity[i]});
+      row += arity[i];
+    }
+  }
 
   /// Calls visit(relation, rows, count, arity) for every maximal run of
   /// consecutive rows sharing one relation and arity, in row order;

@@ -129,6 +129,50 @@ TEST_F(SimulatorTest, OutputAccumulatesAcrossRounds) {
   EXPECT_EQ(sim.stats().NumRounds(), 2u);
 }
 
+// The exported per-server steps are the round: RouteServer and
+// MergeServer composed by hand give RunRound's received instances, loads
+// and wire bytes. The locals overlap, so a target gets the same fact from
+// two sources (counted once), and server 0 also routes to itself.
+TEST_F(SimulatorTest, ExportedStepsReplayRunRound) {
+  const std::size_t p = 3;
+  std::vector<Instance> locals(p);
+  for (int i = 0; i < 30; ++i) {
+    locals[i % p].Insert(Fact(r_, {i % 11, i % 4}));
+    if (i % 5 == 0) locals[(i + 1) % p].Insert(Fact(r_, {i % 11, i % 4}));
+  }
+  const MpcSimulator::Router route = [](NodeId,
+                                        const Fact& f) -> std::vector<NodeId> {
+    const auto owner = static_cast<NodeId>(f.args[0].v % 3);
+    if (owner == 0) return {0};
+    return {owner, 0};
+  };
+  MpcSimulator sim(p);
+  sim.LoadLocals(locals);
+  sim.RunRound(route, MpcSimulator::KeepAll());
+
+  std::vector<MpcSimulator::Outbox> outbox(p);
+  for (NodeId s = 0; s < p; ++s) {
+    MpcSimulator::RouteServer(route, s, locals[s], p, outbox[s]);
+  }
+  std::size_t dedup_hits = 0;
+  for (NodeId t = 0; t < p; ++t) {
+    std::vector<const MpcSimulator::Batch*> inbox(p, nullptr);
+    std::size_t routed = 0;
+    for (NodeId s = 0; s < p; ++s) {
+      if (!outbox[s][t].empty()) inbox[s] = &outbox[s][t];
+      if (s != t) routed += outbox[s][t].size();
+    }
+    Instance received;
+    const MpcSimulator::MergeStats stats =
+        MpcSimulator::MergeServer(t, 0, inbox, received);
+    EXPECT_EQ(received.AllFacts(), sim.locals()[t].AllFacts()) << t;
+    EXPECT_EQ(stats.load, sim.stats().rounds[0].received[t]) << t;
+    EXPECT_EQ(stats.wire_bytes, sim.stats().rounds[0].wire_bytes[t]) << t;
+    dedup_hits += routed - stats.load;
+  }
+  EXPECT_GT(dedup_hits, 0u);  // The overlap really produced duplicates.
+}
+
 TEST(RoundStatsTest, Aggregations) {
   RoundStats r;
   r.received = {3, 1, 5, 0};

@@ -2,37 +2,34 @@
 // a lamp.wire.v1 socket mesh between them, and the in-process MpcSimulator
 // as the ground truth the distributed run must reproduce byte-for-byte.
 //
-// Topology (the classic rank/listen/connect shape): rank r owns listener r
-// (TCP) or its end of a pre-created socketpair (UDS); ranks identify
-// themselves with a kHello frame, then a seed token travels the ring
-// rank -> succ (two laps: fold, then broadcast) so every process agrees on
-// the routing seed before any data moves. Each round every rank sends ONE
-// batched kFactBatch frame to every other rank (possibly empty — the
-// receiver always expects exactly p-1 frames) and drains its peers in
-// ascending rank order, interleaving its self-routed batch at its own
-// rank. That is exactly the in-process merge order, so outputs, dedup
-// decisions and per-server loads match MpcSimulator's — the comparison
-// this tool exists to make.
+// Topology: the parent connects one TCP or UDS socket pair per pair of
+// ranks before it forks, then a seed token travels the ring rank -> succ
+// (two laps: fold, then broadcast) so every process agrees on the routing
+// seed before any data moves. Each worker then runs the simulator's own
+// round on its share — InputShare placement, the route step, one
+// kFactBatch frame to every other rank over a src/transport mesh
+// endpoint, the merge step — so outputs, dedup decisions and per-server
+// loads match MpcSimulator's: the comparison this tool exists to make.
+// The mesh flushes its queued writes while it waits for input, so no
+// round size can deadlock the workers on socket buffers.
 //
-// Wire accounting: each rank reports the framing bytes it *received* from
-// other ranks. Unlike the simulator backends (which skip empty batches),
-// the mesh protocol ships empty frames, so the measured bytes sit a few
-// framing bytes per idle channel above the closed form; both numbers are
-// printed. Measured loads and wire bytes flow into lamp.audit.v1 records
-// next to the strategy's closed-form bound, exactly like the benches.
+// Wire accounting: each rank measures the kFactBatch frame bytes it
+// *received* from other ranks. The simulator ships only nonempty batches;
+// the mesh ships one frame per channel, because a receiver cannot know a
+// peer had nothing for it. The measured bytes must equal the simulator's
+// closed form plus one empty round-0 batch frame per idle channel; any
+// other difference is a mismatch, like a load mismatch. Measured loads
+// and wire bytes flow into lamp.audit.v1 records next to the strategy's
+// closed-form bound, exactly like the benches.
 //
 // Exit codes: 0 ok, 1 mismatch vs the in-process reference, 2 usage,
 // 4 audit hard fail (LAMP_AUDIT_HARD_FAIL=1).
 
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <array>
-#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -67,73 +64,6 @@
 namespace {
 
 using namespace lamp;
-
-// --- framed blocking I/O over raw fds -----------------------------------
-
-void WriteAllFd(int fd, const std::uint8_t* data, std::size_t size) {
-  while (size > 0) {
-    const ssize_t n = ::write(fd, data, size);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      LAMP_CHECK_MSG(false, "mpc_procs: write failed");
-    }
-    data += n;
-    size -= static_cast<std::size_t>(n);
-  }
-}
-
-void SendFrame(int fd, const transport::WireFrame& frame) {
-  std::vector<std::uint8_t> bytes;
-  transport::AppendFrame(bytes, frame);
-  WriteAllFd(fd, bytes.data(), bytes.size());
-}
-
-/// One peer connection: blocking reads through an incremental decoder.
-class FrameChannel {
- public:
-  FrameChannel() = default;
-  explicit FrameChannel(int fd) : fd_(fd) {}
-
-  int fd() const { return fd_; }
-  void Reset(int fd) { fd_ = fd; }
-
-  transport::WireFrame ReadFrame() {
-    for (;;) {
-      if (auto frame = decoder_.Next()) {
-        WarnOnSkipped();
-        return std::move(*frame);
-      }
-      LAMP_CHECK_MSG(!decoder_.error(), "mpc_procs: malformed frame");
-      std::uint8_t buf[1 << 16];
-      const ssize_t n = ::read(fd_, buf, sizeof buf);
-      if (n < 0 && errno == EINTR) continue;
-      LAMP_CHECK_MSG(n > 0, "mpc_procs: peer closed mid-frame");
-      decoder_.Feed(buf, static_cast<std::size_t>(n));
-    }
-  }
-
-  void WriteFrame(const transport::WireFrame& frame) { SendFrame(fd_, frame); }
-
- private:
-  /// Unknown-type frames (a newer peer's optional extension) are skipped
-  /// by the decoder; surface each skip as a warning so a version-skewed
-  /// mesh is visible without being fatal.
-  void WarnOnSkipped() {
-    if (decoder_.unknown_skipped() > warned_skipped_) {
-      std::fprintf(stderr,
-                   "mpc_procs: warning: skipped %llu frame(s) of unknown"
-                   " type 0x%02x on fd %d\n",
-                   static_cast<unsigned long long>(decoder_.unknown_skipped() -
-                                                   warned_skipped_),
-                   decoder_.last_unknown_type(), fd_);
-      warned_skipped_ = decoder_.unknown_skipped();
-    }
-  }
-
-  int fd_ = -1;
-  transport::FrameDecoder decoder_;
-  std::uint64_t warned_skipped_ = 0;
-};
 
 // --- scenarios ----------------------------------------------------------
 
@@ -306,19 +236,17 @@ TraceConfig MakeTraceConfig(const std::string& prefix,
 
 // --- the worker process -------------------------------------------------
 
-struct WorkerReport {
-  std::size_t load = 0;
-  std::size_t wire_bytes = 0;  // Framing bytes received from other ranks.
-  Instance output;
-};
-
 /// Body of rank \p rank: seed exchange, one communication phase, local
-/// evaluation, report to the parent over \p report_fd. `chans[s]` is the
-/// established connection to rank s (unset at s == rank).
+/// evaluation, report to the parent over \p up. `peers[s]` is the
+/// established connection to rank s (unopened at s == rank).
 void RunWorker(const Scenario& scenario, std::size_t rank,
-               std::vector<FrameChannel>& chans, int report_fd,
+               transport::TransportKind kind,
+               std::vector<transport::FramedFd> peers, transport::FramedFd up,
                std::uint64_t base_seed, const TraceConfig& trace) {
   const std::size_t p = scenario.servers;
+  const auto me = static_cast<NodeId>(rank);
+  const std::unique_ptr<transport::Transport> mesh =
+      transport::MakeMeshEndpoint(kind, rank, std::move(peers));
 
   // Tracing is per-process: an isolated ring-buffer tracer whose shard is
   // flushed to $LAMP_TRACE_SHARD-derived paths at the end of the run.
@@ -350,9 +278,21 @@ void RunWorker(const Scenario& scenario, std::size_t rank,
   //    receipt times (plus rank 0's lap bounds) are exactly what the
   //    shard merger needs to estimate per-process clock offsets.
   if (p > 1) {
-    obs::TraceSpan span("proc.seed_exchange", static_cast<std::uint32_t>(rank));
-    const std::size_t pred = (rank + p - 1) % p;
-    const std::size_t succ = (rank + 1) % p;
+    obs::TraceSpan span("proc.seed_exchange", me);
+    const auto pred = static_cast<std::uint32_t>((rank + p - 1) % p);
+    const auto succ = static_cast<std::uint32_t>((rank + 1) % p);
+    const auto send_hello = [&](std::uint64_t token, std::uint64_t features) {
+      mesh->Send({transport::kWireVersion, transport::FrameType::kHello, me,
+                  succ,
+                  transport::EncodeHelloPayload(rank, token, features)});
+    };
+    const auto recv_hello = [&] {
+      const transport::WireFrame frame = mesh->Recv(me, pred);
+      LAMP_CHECK(frame.type == transport::FrameType::kHello);
+      const auto payload = transport::DecodeHelloPayload(frame.payload);
+      LAMP_CHECK(payload.has_value());
+      return *payload;
+    };
     std::uint64_t token;
     if (rank == 0) {
       token = HashCombine(HashMix(base_seed), RankContribution(base_seed, 0));
@@ -360,192 +300,112 @@ void RunWorker(const Scenario& scenario, std::size_t rank,
         ring_t0 = tracer->NowNs();
         ring_fold = ring_t0;
       }
-      chans[succ].WriteFrame(
-          {transport::kWireVersion, transport::FrameType::kHello,
-           static_cast<std::uint32_t>(rank), static_cast<std::uint32_t>(succ),
-           transport::EncodeHelloPayload(rank, token, my_features)});
-      const transport::WireFrame fold = chans[pred].ReadFrame();
+      send_hello(token, my_features);
+      const transport::HelloPayload fold = recv_hello();
       if (tracer != nullptr) ring_t1 = tracer->NowNs();
-      LAMP_CHECK(fold.type == transport::FrameType::kHello);
-      const auto payload = transport::DecodeHelloPayload(fold.payload);
-      LAMP_CHECK(payload.has_value());
-      token = payload->seed;
-      mesh_features = payload->features;  // AND over the whole ring.
+      token = fold.seed;
+      mesh_features = fold.features;  // AND over the whole ring.
+      // Broadcast lap: rank 0 holds the fold (and the negotiated feature
+      // set); pass both once around.
+      send_hello(token, mesh_features);
     } else {
-      const transport::WireFrame fold = chans[pred].ReadFrame();
+      const transport::HelloPayload fold = recv_hello();
       if (tracer != nullptr) ring_fold = tracer->NowNs();
-      LAMP_CHECK(fold.type == transport::FrameType::kHello);
-      const auto payload = transport::DecodeHelloPayload(fold.payload);
-      LAMP_CHECK(payload.has_value());
-      token = HashCombine(payload->seed, RankContribution(base_seed, rank));
-      chans[succ].WriteFrame(
-          {transport::kWireVersion, transport::FrameType::kHello,
-           static_cast<std::uint32_t>(rank), static_cast<std::uint32_t>(succ),
-           transport::EncodeHelloPayload(rank, token,
-                                         payload->features & my_features)});
-    }
-    // Broadcast lap: rank 0 holds the fold (and the negotiated feature
-    // set); pass both once around.
-    if (rank == 0) {
-      chans[succ].WriteFrame(
-          {transport::kWireVersion, transport::FrameType::kHello,
-           static_cast<std::uint32_t>(rank), static_cast<std::uint32_t>(succ),
-           transport::EncodeHelloPayload(rank, token, mesh_features)});
-    } else {
-      const transport::WireFrame bcast = chans[pred].ReadFrame();
-      LAMP_CHECK(bcast.type == transport::FrameType::kHello);
-      const auto payload = transport::DecodeHelloPayload(bcast.payload);
-      LAMP_CHECK(payload.has_value());
-      token = payload->seed;
-      mesh_features = payload->features;
-      if (succ != 0) {
-        chans[succ].WriteFrame(
-            {transport::kWireVersion, transport::FrameType::kHello,
-             static_cast<std::uint32_t>(rank),
-             static_cast<std::uint32_t>(succ),
-             transport::EncodeHelloPayload(rank, token, mesh_features)});
-      }
+      token = HashCombine(fold.seed, RankContribution(base_seed, rank));
+      send_hello(token, fold.features & my_features);
+      const transport::HelloPayload bcast = recv_hello();
+      token = bcast.seed;
+      mesh_features = bcast.features;
+      if (succ != 0) send_hello(token, mesh_features);
     }
     LAMP_CHECK_MSG(token == scenario.routing_seed,
                    "mpc_procs: ring seed exchange disagrees with the"
                    " closed form");
   }
 
-  // Local slice of the round-robin initial placement (fact i lives on
-  // server i % p — MpcSimulator::LoadInput's contract).
-  Instance local;
-  std::size_t index = 0;
-  scenario.input.ForEachFact([&](const Fact& f) {
-    if (index % p == rank) local.Insert(f);
-    ++index;
-  });
-
-  // Communication phase: route every local fact, batch per target as
-  // columnar row references (stable while `local` is unmutated), send one
-  // frame per peer (ascending rank; possibly empty).
-  std::vector<std::vector<transport::RowRef>> batches(p);
+  // The simulator's round on this rank's share: LoadInput placement, the
+  // route step, one batch per peer (possibly empty), the merge step.
+  const Instance local = MpcSimulator::InputShare(scenario.input, p, me);
+  MpcSimulator::Outbox outbox;
   {
-    obs::TraceSpan span("proc.route", static_cast<std::uint32_t>(rank));
-    Fact scratch;  // Router argument, rebuilt per row.
-    for (RelationId rel = 0; rel < local.NumRelationIds(); ++rel) {
-      const RowsView rows = local.RowsOf(rel);
-      if (rows.num_rows == 0) continue;
-      scratch.relation = rel;
-      for (std::size_t i = 0; i < rows.num_rows; ++i) {
-        const Value* row = rows.Row(i);
-        scratch.args.assign(row, row + rows.arity);
-        for (NodeId target : scenario.route(static_cast<NodeId>(rank),
-                                            scratch)) {
-          batches[target].push_back(transport::RowRef{
-              rel, row, static_cast<std::uint32_t>(rows.arity)});
-        }
-      }
-    }
+    obs::TraceSpan span("proc.route", me);
+    MpcSimulator::RouteServer(scenario.route, me, local, p, outbox);
   }
   // Data sends, each optionally preceded by a kTraceCtx frame carrying
   // (trace id, span, round) so the receiver can correlate its recv event
-  // with ours. Context frames ride the negotiated feature bit, are never
+  // with ours. Context frames ride the negotiated feature bit and are never
   // counted into the wire-byte accounting (tracing must not perturb the
-  // audited numbers), and older peers would skip them cleanly.
+  // audited numbers).
   const bool ctx_on =
       (mesh_features & transport::kHelloFeatureTraceCtx) != 0;
   std::uint64_t next_span = 0;
-  for (std::size_t target = 0; target < p; ++target) {
-    if (target == rank) continue;
-    const transport::WireFrame frame{
-        transport::kWireVersion, transport::FrameType::kFactBatch,
-        static_cast<std::uint32_t>(rank), static_cast<std::uint32_t>(target),
-        transport::EncodeFactBatchPayload(0, batches[target])};
+  for (NodeId target = 0; target < p; ++target) {
+    if (target == me) continue;
     if (ctx_on) {
       const std::uint64_t span = next_span++;
-      chans[target].WriteFrame(
-          {transport::kWireVersion, transport::FrameType::kTraceCtx,
-           static_cast<std::uint32_t>(rank),
-           static_cast<std::uint32_t>(target),
-           transport::EncodeTraceCtxPayload(trace.trace_id, span, 0)});
-      obs::Emit(obs::EventKind::kDistSend, static_cast<std::uint32_t>(target),
-                0, span);
-      obs::Emit(obs::EventKind::kTransportSend,
-                static_cast<std::uint32_t>(rank),
-                static_cast<std::uint32_t>(target),
-                transport::FrameWireSize(frame));
+      mesh->Send({transport::kWireVersion, transport::FrameType::kTraceCtx,
+                  me, target,
+                  transport::EncodeTraceCtxPayload(trace.trace_id, span, 0)});
+      obs::Emit(obs::EventKind::kDistSend, target, 0, span);
     }
-    chans[target].WriteFrame(frame);
+    mesh->Send({transport::kWireVersion, transport::FrameType::kFactBatch,
+                me, target,
+                transport::EncodeFactBatchPayload(0, outbox[target])});
   }
 
-  // Receive phase: drain peers in ascending rank order with the
-  // self-routed batch interleaved at our own rank — the in-process merge
-  // order, so dedup decisions and loads replay the simulator's exactly.
-  WorkerReport report;
+  std::size_t load = 0;
+  std::size_t wire_bytes = 0;  // Batch frame bytes received from peers.
   Instance received;
-  transport::FactBatchRows batch;  // Reused across peers.
   {
-    obs::TraceSpan span("proc.drain", static_cast<std::uint32_t>(rank));
-    for (std::size_t source = 0; source < p; ++source) {
-      if (source == rank) {
-        for (const transport::RowRef& r : batches[rank]) {
-          received.InsertRow(r.relation, r.row, r.arity);
-        }
-        continue;
-      }
-      transport::WireFrame frame = chans[source].ReadFrame();
+    obs::TraceSpan span("proc.drain", me);
+    std::vector<transport::FactBatchRows> decoded(p);
+    std::vector<MpcSimulator::Batch> refs(p);
+    std::vector<const MpcSimulator::Batch*> inbox(p);
+    inbox[me] = &outbox[me];
+    for (NodeId source = 0; source < p; ++source) {
+      if (source == me) continue;
       std::optional<transport::TraceCtxPayload> ctx;
-      if (frame.type == transport::FrameType::kTraceCtx) {
+      if (ctx_on) {
+        const transport::WireFrame frame = mesh->Recv(me, source);
+        LAMP_CHECK(frame.type == transport::FrameType::kTraceCtx);
         ctx = transport::DecodeTraceCtxPayload(frame.payload);
         LAMP_CHECK_MSG(ctx.has_value() && ctx->trace_id == trace.trace_id,
                        "mpc_procs: trace context from a different run");
-        frame = chans[source].ReadFrame();
       }
-      LAMP_CHECK(frame.type == transport::FrameType::kFactBatch);
-      LAMP_CHECK(frame.from == source &&
-                 frame.to == static_cast<std::uint32_t>(rank));
-      // Context frames are deliberately absent from wire accounting:
-      // tracing on/off must not change the audited byte counts.
-      report.wire_bytes += transport::FrameWireSize(frame);
+      wire_bytes += MpcSimulator::ReceiveBatch(*mesh, me, source, 0,
+                                               decoded[source], refs[source]);
       if (ctx.has_value()) {
-        obs::Emit(obs::EventKind::kTransportRecv,
-                  static_cast<std::uint32_t>(rank), frame.from,
-                  transport::FrameWireSize(frame));
-        obs::Emit(obs::EventKind::kDistRecv, frame.from,
+        obs::Emit(obs::EventKind::kDistRecv, source,
                   static_cast<std::uint32_t>(ctx->round), ctx->span);
       }
-      LAMP_CHECK(transport::DecodeFactBatchRows(frame.payload, 0, batch));
-      batch.ForEachRun([&received, &report](RelationId relation,
-                                            const Value* rows,
-                                            std::size_t count,
-                                            std::size_t arity) {
-        report.load += received.InsertRows(relation, rows, count, arity);
-      });
+      inbox[source] = &refs[source];
     }
+    mesh->Shutdown();  // Every peer's input is flushed before we go on.
+    load = MpcSimulator::MergeServer(me, 0, inbox, received).load;
   }
 
   // Computation phase + report upstream.
+  Instance output;
   {
-    obs::TraceSpan span("proc.eval", static_cast<std::uint32_t>(rank));
-    report.output = Evaluate(scenario.query, received);
+    obs::TraceSpan span("proc.eval", me);
+    output = Evaluate(scenario.query, received);
   }
-  FrameChannel up(report_fd);
-  up.WriteFrame({transport::kWireVersion, transport::FrameType::kStats,
-                 static_cast<std::uint32_t>(rank),
-                 static_cast<std::uint32_t>(p),
-                 transport::EncodeStatsPayload(0, report.load,
-                                               report.wire_bytes)});
+  const auto parent = static_cast<std::uint32_t>(p);
+  up.Queue({transport::kWireVersion, transport::FrameType::kStats, me, parent,
+            transport::EncodeStatsPayload(0, load, wire_bytes)});
   std::vector<transport::RowRef> out_rows;
-  for (RelationId rel = 0; rel < report.output.NumRelationIds(); ++rel) {
-    const RowsView rows = report.output.RowsOf(rel);
+  for (RelationId rel = 0; rel < output.NumRelationIds(); ++rel) {
+    const RowsView rows = output.RowsOf(rel);
     for (std::size_t i = 0; i < rows.num_rows; ++i) {
       out_rows.push_back(transport::RowRef{
           rel, rows.Row(i), static_cast<std::uint32_t>(rows.arity)});
     }
   }
-  up.WriteFrame({transport::kWireVersion, transport::FrameType::kFactBatch,
-                 static_cast<std::uint32_t>(rank),
-                 static_cast<std::uint32_t>(p),
-                 transport::EncodeFactBatchPayload(0, out_rows)});
-  up.WriteFrame({transport::kWireVersion, transport::FrameType::kShutdown,
-                 static_cast<std::uint32_t>(rank),
-                 static_cast<std::uint32_t>(p),
-                 {}});
+  up.Queue({transport::kWireVersion, transport::FrameType::kFactBatch, me,
+            parent, transport::EncodeFactBatchPayload(0, out_rows)});
+  up.Queue({transport::kWireVersion, transport::FrameType::kShutdown, me,
+            parent, {}});
+  up.Flush();
 
   // Flush this process's trace shard last, so it covers the full run. The
   // parent only reads shards after waitpid(), which sequences after this.
@@ -566,73 +426,6 @@ void RunWorker(const Scenario& scenario, std::size_t rank,
   }
 }
 
-// --- mesh construction --------------------------------------------------
-
-int TcpListener(std::uint16_t* port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  LAMP_CHECK(fd >= 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = 0;
-  LAMP_CHECK(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0);
-  LAMP_CHECK(::listen(fd, 64) == 0);
-  socklen_t len = sizeof addr;
-  LAMP_CHECK(::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) == 0);
-  *port = ntohs(addr.sin_port);
-  return fd;
-}
-
-void SetNoDelay(int fd) {
-  int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-}
-
-/// Builds rank \p rank's connections over TCP: connect to every lower
-/// rank (identifying with kHello), accept every higher one (identified by
-/// its kHello) on our pre-bound listener.
-std::vector<FrameChannel> TcpMesh(std::size_t rank, std::size_t p,
-                                  const std::vector<std::uint16_t>& ports,
-                                  int listener) {
-  std::vector<FrameChannel> chans(p);
-  for (std::size_t peer = 0; peer < rank; ++peer) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    LAMP_CHECK(fd >= 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(ports[peer]);
-    int rc;
-    do {
-      rc = ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr);
-    } while (rc != 0 && errno == EINTR);
-    LAMP_CHECK_MSG(rc == 0, "mpc_procs: connect to peer failed");
-    SetNoDelay(fd);
-    chans[peer].Reset(fd);
-    chans[peer].WriteFrame(
-        {transport::kWireVersion, transport::FrameType::kHello,
-         static_cast<std::uint32_t>(rank), static_cast<std::uint32_t>(peer),
-         transport::EncodeHelloPayload(rank, 0)});
-  }
-  for (std::size_t n = rank + 1; n < p; ++n) {
-    int fd;
-    do {
-      fd = ::accept(listener, nullptr, nullptr);
-    } while (fd < 0 && errno == EINTR);
-    LAMP_CHECK(fd >= 0);
-    SetNoDelay(fd);
-    FrameChannel chan(fd);
-    const transport::WireFrame hello = chan.ReadFrame();
-    LAMP_CHECK(hello.type == transport::FrameType::kHello);
-    const auto payload = transport::DecodeHelloPayload(hello.payload);
-    LAMP_CHECK(payload.has_value() && payload->rank > rank &&
-               payload->rank < p);
-    chans[payload->rank] = std::move(chan);
-  }
-  ::close(listener);
-  return chans;
-}
-
 // --- the multi-process run ----------------------------------------------
 
 struct DistResult {
@@ -648,22 +441,14 @@ DistResult RunDistributed(const std::string& name, transport::TransportKind
   const Scenario shape = BuildScenario(name, procs, m, base_seed);
   const std::size_t p = shape.servers;
 
-  // Pre-fork resources: TCP listeners (ports shared via fork) or UDS
-  // socketpairs per unordered pair, plus one report pipe per rank.
-  std::vector<int> listeners(p, -1);
-  std::vector<std::uint16_t> ports(p, 0);
-  // pair_fds[i][j] (i < j): {i's end, j's end}.
-  std::vector<std::vector<std::array<int, 2>>> pair_fds;
-  if (kind == transport::TransportKind::kTcp) {
-    for (std::size_t r = 0; r < p; ++r) listeners[r] = TcpListener(&ports[r]);
-  } else {
-    pair_fds.assign(p, std::vector<std::array<int, 2>>(p, {-1, -1}));
-    for (std::size_t i = 0; i < p; ++i) {
-      for (std::size_t j = i + 1; j < p; ++j) {
-        int sv[2];
-        LAMP_CHECK(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) == 0);
-        pair_fds[i][j] = {sv[0], sv[1]};
-      }
+  // Pre-fork resources: one connected socket pair per unordered pair of
+  // ranks (ends[i][j] is rank i's end), plus one report pipe per rank.
+  std::vector<std::vector<int>> ends(p, std::vector<int>(p, -1));
+  for (std::size_t i = 0; i < p; ++i) {
+    for (std::size_t j = i + 1; j < p; ++j) {
+      const std::array<int, 2> pair = transport::SocketPair(kind);
+      ends[i][j] = pair[0];
+      ends[j][i] = pair[1];
     }
   }
   std::vector<std::array<int, 2>> pipes(p);
@@ -684,46 +469,27 @@ DistResult RunDistributed(const std::string& name, transport::TransportKind
       ::close(pipes[r][0]);
       if (r != rank) ::close(pipes[r][1]);
     }
-    std::vector<FrameChannel> chans(p);
-    if (kind == transport::TransportKind::kTcp) {
-      for (std::size_t r = 0; r < p; ++r) {
-        if (r != rank) ::close(listeners[r]);
-      }
-      chans = TcpMesh(rank, p, ports, listeners[rank]);
-    } else {
-      for (std::size_t i = 0; i < p; ++i) {
-        for (std::size_t j = i + 1; j < p; ++j) {
-          if (i == rank) {
-            chans[j].Reset(pair_fds[i][j][0]);
-            ::close(pair_fds[i][j][1]);
-          } else if (j == rank) {
-            chans[i].Reset(pair_fds[i][j][1]);
-            ::close(pair_fds[i][j][0]);
-          } else {
-            ::close(pair_fds[i][j][0]);
-            ::close(pair_fds[i][j][1]);
-          }
+    std::vector<transport::FramedFd> peers(p);
+    for (std::size_t i = 0; i < p; ++i) {
+      for (std::size_t j = 0; j < p; ++j) {
+        if (ends[i][j] < 0) continue;
+        if (i == rank) {
+          peers[j] = transport::FramedFd(ends[i][j]);
+        } else {
+          ::close(ends[i][j]);
         }
       }
     }
     const Scenario mine = BuildScenario(name, procs, m, base_seed);
-    RunWorker(mine, rank, chans, pipes[rank][1], base_seed, trace);
-    for (FrameChannel& chan : chans) {
-      if (chan.fd() >= 0) ::close(chan.fd());
-    }
-    ::close(pipes[rank][1]);
+    RunWorker(mine, rank, kind, std::move(peers),
+              transport::FramedFd(pipes[rank][1]), base_seed, trace);
     std::_Exit(0);
   }
 
   // Parent: close the worker-side fds, collect reports, reap.
-  if (kind == transport::TransportKind::kTcp) {
-    for (int fd : listeners) ::close(fd);
-  } else {
-    for (std::size_t i = 0; i < p; ++i) {
-      for (std::size_t j = i + 1; j < p; ++j) {
-        ::close(pair_fds[i][j][0]);
-        ::close(pair_fds[i][j][1]);
-      }
+  for (const std::vector<int>& row : ends) {
+    for (const int fd : row) {
+      if (fd >= 0) ::close(fd);
     }
   }
   for (std::size_t r = 0; r < p; ++r) ::close(pipes[r][1]);
@@ -733,7 +499,7 @@ DistResult RunDistributed(const std::string& name, transport::TransportKind
   result.loads.assign(p, 0);
   result.wire_bytes.assign(p, 0);
   for (std::size_t r = 0; r < p; ++r) {
-    FrameChannel chan(pipes[r][0]);
+    transport::FramedFd chan(pipes[r][0]);
     for (;;) {
       const transport::WireFrame frame = chan.ReadFrame();
       if (frame.type == transport::FrameType::kShutdown) break;
@@ -752,7 +518,6 @@ DistResult RunDistributed(const std::string& name, transport::TransportKind
         });
       }
     }
-    ::close(pipes[r][0]);
   }
   for (std::size_t r = 0; r < p; ++r) {
     int status = 0;
@@ -787,6 +552,27 @@ void Usage() {
   std::exit(2);
 }
 
+/// The batch frame bytes each rank of the mesh must receive: the
+/// simulator's closed form \p ref plus one empty round-0 batch frame per
+/// idle channel, found by re-running the route step on every share.
+std::vector<std::size_t> MeshWireBytes(const Scenario& scenario,
+                                       const RoundStats& ref) {
+  const std::size_t p = scenario.servers;
+  const std::size_t empty = transport::VarintSize(0) + transport::VarintSize(0);
+  std::vector<std::size_t> bytes = ref.wire_bytes;
+  for (NodeId source = 0; source < p; ++source) {
+    const Instance local = MpcSimulator::InputShare(scenario.input, p, source);
+    MpcSimulator::Outbox outbox;
+    MpcSimulator::RouteServer(scenario.route, source, local, p, outbox);
+    for (NodeId target = 0; target < p; ++target) {
+      if (target != source && outbox[target].empty()) {
+        bytes[target] += transport::FactBatchFrameSize(source, target, empty);
+      }
+    }
+  }
+  return bytes;
+}
+
 /// Runs one scenario distributed, checks it against the in-process
 /// reference and emits the audit record. Returns true when everything
 /// matched.
@@ -812,8 +598,9 @@ bool RunOne(const std::string& name, const Options& opts) {
 
   bool ok = dist.output == sim.output();
   const RoundStats& ref_round = sim.stats().rounds.at(0);
+  const std::vector<std::size_t> wire = MeshWireBytes(scenario, ref_round);
   for (std::size_t r = 0; r < p && ok; ++r) {
-    ok = dist.loads[r] == ref_round.received[r];
+    ok = dist.loads[r] == ref_round.received[r] && dist.wire_bytes[r] == wire[r];
   }
 
   std::size_t max_load = 0;
