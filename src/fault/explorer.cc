@@ -62,16 +62,17 @@ Instance RunPlan(TransducerProgram& program,
   return network.RunWith(scheduler).output;
 }
 
-obs::JsonValue CaptureTrace(TransducerProgram& program,
-                            const std::vector<Instance>& locals,
-                            const FaultPlan& plan, std::uint64_t seed,
-                            const DistributionPolicy* policy, bool aware) {
+obs::dist::TraceShard CaptureTrace(TransducerProgram& program,
+                                   const std::vector<Instance>& locals,
+                                   const FaultPlan& plan, std::uint64_t seed,
+                                   const DistributionPolicy* policy,
+                                   bool aware) {
   obs::Tracer tracer;
   {
     obs::ScopedTracer install(tracer);
     (void)RunPlan(program, locals, plan, seed, policy, aware);
   }
-  return obs::TraceToJson(tracer);
+  return obs::dist::ShardFromTracer(tracer);
 }
 
 }  // namespace

@@ -7,7 +7,7 @@
 
 #include "fault/plan.h"
 #include "net/consistency.h"
-#include "obs/json.h"
+#include "obs/dist/shard.h"
 
 /// \file
 /// Adversarial schedule exploration.
@@ -18,9 +18,9 @@
 /// runs a battery of named adversarial strategies (plus randomized mixed
 /// plans) against the expected output, and when it finds a run whose
 /// final output differs it delta-debugs the fault plan down to a minimal
-/// counterexample and captures a pair of lamp.trace.v1 recordings — the
-/// divergent run and a fault-free reference — for
-/// `trace_dump --diff` to render.
+/// counterexample and captures a pair of one-shard trace recordings
+/// (obs/dist/shard.h) — the divergent run and a fault-free reference —
+/// for `trace_dump --diff` to render.
 
 namespace lamp::fault {
 
@@ -42,8 +42,8 @@ struct DivergenceWitness {
   InstanceDiff diff;               // Divergent output vs expected.
   bool has_reference = false;
   std::uint64_t reference_seed = 0;
-  obs::JsonValue divergent_trace;  // lamp.trace.v1 of the witness replay.
-  obs::JsonValue reference_trace;  // lamp.trace.v1 of a correct clean run.
+  obs::dist::TraceShard divergent_trace;  // The witness replay.
+  obs::dist::TraceShard reference_trace;  // A correct clean run.
 };
 
 struct ExplorerResult {

@@ -15,51 +15,6 @@ struct Delivery {
   std::uint32_t parent = 0;  // Parent transition + 1; 0 = heartbeat origin.
 };
 
-CausalReport BuildFromDeliveries(
-    const std::vector<std::pair<std::uint32_t, Delivery>>& deliveries,
-    const std::vector<std::pair<std::uint32_t, std::uint64_t>>& outputs) {
-  CausalReport report;
-  report.deliveries = deliveries.size();
-  report.outputs = outputs.size();
-  if (!outputs.empty()) {
-    report.has_output = true;
-    report.coordination_depth = outputs.front().second;
-  }
-
-  std::unordered_map<std::uint32_t, Delivery> by_transition;
-  by_transition.reserve(deliveries.size());
-  bool have_deepest = false;
-  std::uint32_t deepest = 0;
-  for (const auto& [transition, d] : deliveries) {
-    by_transition[transition] = d;
-    if (d.depth > report.max_depth || !have_deepest) {
-      report.max_depth = d.depth;
-      deepest = transition;
-      have_deepest = true;
-    }
-  }
-
-  // Walk parent pointers from the deepest delivery back to a
-  // heartbeat-originated message, then reverse into root-first order.
-  // The guard on strictly shrinking depth makes the walk total even on a
-  // trace whose ring buffer dropped the parent events.
-  if (have_deepest) {
-    std::uint32_t transition = deepest;
-    std::uint64_t prev_depth = report.max_depth + 1;
-    while (true) {
-      const auto it = by_transition.find(transition);
-      if (it == by_transition.end() || it->second.depth >= prev_depth) break;
-      report.critical_path.push_back(
-          {transition, it->second.node, it->second.depth});
-      prev_depth = it->second.depth;
-      if (it->second.parent == 0) break;
-      transition = it->second.parent - 1;
-    }
-    std::reverse(report.critical_path.begin(), report.critical_path.end());
-  }
-  return report;
-}
-
 }  // namespace
 
 JsonValue CausalReport::ToJson() const {
@@ -151,64 +106,73 @@ std::string CausalReport::Render() const {
   return out;
 }
 
-CausalReport BuildCausalReport(const std::vector<TraceEvent>& events) {
+CausalReport BuildCausalReport(const dist::MergedTrace& merged) {
   std::vector<std::pair<std::uint32_t, Delivery>> deliveries;
   std::vector<std::pair<std::uint32_t, std::uint64_t>> outputs;
-  for (const TraceEvent& e : events) {
-    if (e.kind == EventKind::kNetCausalDeliver) {
+  for (const dist::AlignedEvent& ae : dist::AlignedEvents(merged)) {
+    const dist::ShardEvent& e = *ae.event;
+    if (e.kind == "net.causal_deliver") {
       Delivery d;
       d.node = e.a;
       d.depth = e.value >> 32;
       d.parent = static_cast<std::uint32_t>(e.value & 0xffffffffu);
       deliveries.emplace_back(e.b, d);
-    } else if (e.kind == EventKind::kNetOutput) {
+    } else if (e.kind == "net.output") {
       outputs.emplace_back(e.b, e.value);
     }
   }
-  return BuildFromDeliveries(deliveries, outputs);
-}
-
-CausalReport BuildCausalReport(const dist::MergedTrace& merged) {
-  std::vector<std::pair<std::uint32_t, Delivery>> deliveries;
-  deliveries.reserve(merged.pairs.size());
-  for (std::size_t i = 0; i < merged.pairs.size(); ++i) {
-    const dist::MatchedPair& pair = merged.pairs[i];
-    Delivery d;
-    d.node = pair.to;
-    d.depth = pair.depth;
-    d.parent = pair.parent;  // Already "pair index + 1, 0 = root".
-    deliveries.emplace_back(static_cast<std::uint32_t>(i), d);
-  }
-  return BuildFromDeliveries(deliveries, {});
-}
-
-std::optional<CausalReport> CausalReportFromTraceJson(const JsonValue& doc) {
-  if (!doc.IsObject()) return std::nullopt;
-  const JsonValue* events = doc.Find("events");
-  if (events == nullptr || !events->IsArray()) return std::nullopt;
-  std::vector<std::pair<std::uint32_t, Delivery>> deliveries;
-  std::vector<std::pair<std::uint32_t, std::uint64_t>> outputs;
-  for (std::size_t i = 0; i < events->size(); ++i) {
-    const JsonValue& e = events->at(i);
-    const JsonValue* kind = e.Find("kind");
-    if (kind == nullptr || !kind->IsString()) continue;
-    const JsonValue* a = e.Find("a");
-    const JsonValue* b = e.Find("b");
-    const JsonValue* value = e.Find("value");
-    if (a == nullptr || b == nullptr || value == nullptr) continue;
-    if (kind->AsString() == "net.causal_deliver") {
+  if (deliveries.empty()) {
+    deliveries.reserve(merged.pairs.size());
+    for (std::size_t i = 0; i < merged.pairs.size(); ++i) {
+      const dist::MatchedPair& pair = merged.pairs[i];
       Delivery d;
-      d.node = static_cast<std::uint32_t>(a->AsInt());
-      const auto packed = static_cast<std::uint64_t>(value->AsInt());
-      d.depth = packed >> 32;
-      d.parent = static_cast<std::uint32_t>(packed & 0xffffffffu);
-      deliveries.emplace_back(static_cast<std::uint32_t>(b->AsInt()), d);
-    } else if (kind->AsString() == "net.output") {
-      outputs.emplace_back(static_cast<std::uint32_t>(b->AsInt()),
-                           static_cast<std::uint64_t>(value->AsInt()));
+      d.node = pair.to;
+      d.depth = pair.depth;
+      d.parent = pair.parent;  // Already "pair index + 1, 0 = root".
+      deliveries.emplace_back(static_cast<std::uint32_t>(i), d);
     }
   }
-  return BuildFromDeliveries(deliveries, outputs);
+
+  CausalReport report;
+  report.deliveries = deliveries.size();
+  report.outputs = outputs.size();
+  if (!outputs.empty()) {
+    report.has_output = true;
+    report.coordination_depth = outputs.front().second;
+  }
+
+  std::unordered_map<std::uint32_t, Delivery> by_transition;
+  by_transition.reserve(deliveries.size());
+  bool have_deepest = false;
+  std::uint32_t deepest = 0;
+  for (const auto& [transition, d] : deliveries) {
+    by_transition[transition] = d;
+    if (d.depth > report.max_depth || !have_deepest) {
+      report.max_depth = d.depth;
+      deepest = transition;
+      have_deepest = true;
+    }
+  }
+
+  // Walk parent pointers from the deepest delivery back to a
+  // heartbeat-originated message, then reverse into root-first order.
+  // The guard on strictly shrinking depth makes the walk total even on a
+  // trace whose ring buffer dropped the parent events.
+  if (have_deepest) {
+    std::uint32_t transition = deepest;
+    std::uint64_t prev_depth = report.max_depth + 1;
+    while (true) {
+      const auto it = by_transition.find(transition);
+      if (it == by_transition.end() || it->second.depth >= prev_depth) break;
+      report.critical_path.push_back(
+          {transition, it->second.node, it->second.depth});
+      prev_depth = it->second.depth;
+      if (it->second.parent == 0) break;
+      transition = it->second.parent - 1;
+    }
+    std::reverse(report.critical_path.begin(), report.critical_path.end());
+  }
+  return report;
 }
 
 }  // namespace lamp::obs::audit

@@ -8,7 +8,6 @@
 
 #include "obs/dist/merge.h"
 #include "obs/json.h"
-#include "obs/trace.h"
 
 /// \file
 /// Causal-profile extraction from transducer-network traces.
@@ -17,7 +16,7 @@
 /// (heartbeat broadcasts are depth 1; a message sent while processing a
 /// delivery is one deeper than the deepest message its sender had
 /// consumed) and emits kNetCausalDeliver / kNetOutput events. This module
-/// reconstructs from those events:
+/// reconstructs from those events, read from a merged trace:
 ///
 ///  * `coordination_depth` — the causal depth at which the run produced
 ///    its first output fact. 0 means the output appeared during a
@@ -63,23 +62,20 @@ struct CausalReport {
   std::string Render() const;
 };
 
-/// Builds the profile from merged trace events (Tracer::Events() order).
-CausalReport BuildCausalReport(const std::vector<TraceEvent>& events);
-
-/// Builds the profile from a "lamp.trace.v1" document (trace_dump input).
-/// nullopt when the document has no events array.
-std::optional<CausalReport> CausalReportFromTraceJson(const JsonValue& doc);
-
-/// Builds the profile across *process* boundaries from a merged
-/// multi-process trace (obs/dist/merge.h): every matched send/recv pair
-/// is one delivery, its transition index is the pair's position in the
-/// merged order, and depths/parents are the Lamport values the merger
-/// computed on aligned timestamps. The same convention as the in-process
-/// report — root messages are depth 1, a message is one deeper than the
-/// deepest message its sender had consumed — so coordination structure is
-/// comparable between the simulator and a real mesh run. Mesh runs have
-/// no kNetOutput events, so `has_output` stays false and the report's
-/// value is the delivery count, max depth and critical path.
+/// Builds the profile from a merged trace (obs/dist/merge.h) — a local
+/// run's one-shard trace or a multi-process mesh.
+///
+/// Deliveries are the trace's `net.causal_deliver` events (in aligned time
+/// order) and outputs its `net.output` events. A trace without transducer
+/// events — an `mpc_procs` mesh — uses its matched send/recv pairs
+/// instead: each pair is one delivery, its transition index is the pair's
+/// position in the merged order, and depths/parents are the Lamport
+/// values the merger computed on aligned timestamps. Both follow the same
+/// convention — root messages are depth 1, a message is one deeper than
+/// the deepest message its sender had consumed — so coordination
+/// structure is comparable between the simulator and a real mesh run.
+/// Mesh runs have no `net.output` events, so `has_output` stays false and
+/// the report's value is the delivery count, max depth and critical path.
 CausalReport BuildCausalReport(const dist::MergedTrace& merged);
 
 }  // namespace lamp::obs::audit

@@ -1,9 +1,12 @@
 #include "obs/dist/merge.h"
 
 #include <algorithm>
+#include <fstream>
 #include <map>
+#include <set>
 #include <utility>
 
+#include "common/check.h"
 #include "obs/metrics.h"
 
 namespace lamp::obs::dist {
@@ -86,21 +89,30 @@ std::optional<MergedTrace> MergeShards(std::vector<TraceShard> shards,
   merged.shards = std::move(shards);
   const std::size_t p = merged.procs;
 
+  // Offsets are computed wide and must stay within +-2^62 ns: shard
+  // timestamps are file bytes, and a corrupt one must fail the merge
+  // instead of overflowing the arithmetic below.
+  using Wide = __int128;
+  const auto out_of_range = [](Wide v) {
+    return v > (Wide{1} << 62) || v < -(Wide{1} << 62);
+  };
+  const char* const kOutOfRange =
+      "clock offsets out of range: corrupt shard timestamps";
+
   // --- step 1: offset estimates from the seed-exchange ring lap ---------
   std::vector<std::int64_t> off(p, 0);
   const ShardHeader& h0 = merged.shards[0].header;
   if (p > 1 && h0.ring_t1_ns > h0.ring_t0_ns) {
-    const std::int64_t t0 = static_cast<std::int64_t>(h0.ring_t0_ns);
-    const std::int64_t lap =
-        static_cast<std::int64_t>(h0.ring_t1_ns - h0.ring_t0_ns);
+    const Wide t0 = h0.ring_t0_ns;
+    const Wide lap = h0.ring_t1_ns - h0.ring_t0_ns;
     for (std::size_t r = 1; r < p; ++r) {
       // The fold token reached rank r about r/p of the way through the
       // lap (uniform-hop model); that instant read ring_fold_ns on rank
       // r's clock.
-      const std::int64_t est_ref =
-          t0 + lap * static_cast<std::int64_t>(r) / static_cast<std::int64_t>(p);
-      off[r] =
-          est_ref - static_cast<std::int64_t>(merged.shards[r].header.ring_fold_ns);
+      const Wide est = t0 + lap * static_cast<Wide>(r) / static_cast<Wide>(p) -
+                       merged.shards[r].header.ring_fold_ns;
+      if (out_of_range(est)) return fail(kOutOfRange);
+      off[r] = static_cast<std::int64_t>(est);
     }
   }
 
@@ -152,11 +164,14 @@ std::optional<MergedTrace> MergeShards(std::vector<TraceShard> shards,
 
   // --- step 2: causality repair (difference constraints) ----------------
   // off[to] - off[from] >= send - recv + min_latency for every pair;
-  // longest-path relaxation, anchored by normalising afterwards.
+  // longest-path relaxation, anchored by normalising afterwards. A
+  // longest path visits each of the p ranks at most once, so a feasible
+  // system is settled after p passes and pass p + 1 changes nothing; a
+  // pass beyond that means a positive cycle.
   const std::int64_t min_lat = options.min_latency_ns;
   bool changed = true;
   std::size_t iterations = 0;
-  const std::size_t max_iterations = p * raw.size() + 2;
+  const std::size_t max_iterations = p + 1;
   while (changed) {
     if (++iterations > max_iterations) {
       return fail(
@@ -165,11 +180,10 @@ std::optional<MergedTrace> MergeShards(std::vector<TraceShard> shards,
     }
     changed = false;
     for (const RawPair& pr : raw) {
-      const std::int64_t need = off[pr.from] +
-                                static_cast<std::int64_t>(pr.send_ns) -
-                                static_cast<std::int64_t>(pr.recv_ns) + min_lat;
+      const Wide need = Wide{off[pr.from]} + pr.send_ns - pr.recv_ns + min_lat;
+      if (out_of_range(need)) return fail(kOutOfRange);
       if (off[pr.to] < need) {
-        off[pr.to] = need;
+        off[pr.to] = static_cast<std::int64_t>(need);
         changed = true;
       }
     }
@@ -234,6 +248,55 @@ std::optional<MergedTrace> MergeShards(std::vector<TraceShard> shards,
     }
   }
   return merged;
+}
+
+std::optional<MergedTrace> LoadMergedTrace(
+    const std::vector<std::string>& paths, std::string* error) {
+  std::vector<TraceShard> shards;
+  std::string err;
+  for (const std::string& path : paths) {
+    std::ifstream is(path);
+    std::optional<TraceShard> shard;
+    if (!is) {
+      err = "cannot open shard file";
+    } else {
+      shard = ParseShard(is, &err);
+    }
+    if (!shard.has_value()) {
+      if (error != nullptr) *error = path + ": " + err;
+      return std::nullopt;
+    }
+    shards.push_back(std::move(*shard));
+  }
+  std::optional<MergedTrace> merged = MergeShards(std::move(shards), &err);
+  if (!merged.has_value() && error != nullptr) *error = "merge failed: " + err;
+  return merged;
+}
+
+MergedTrace LocalTrace(const Tracer& tracer) {
+  std::vector<TraceShard> shards;
+  shards.push_back(ShardFromTracer(tracer));
+  std::string error;
+  std::optional<MergedTrace> merged = MergeShards(std::move(shards), &error);
+  // One rank-0 shard always merges: local runs emit no dist.* events, so
+  // there is nothing to pair or align.
+  LAMP_CHECK_MSG(merged.has_value(), "a local trace must merge");
+  return std::move(*merged);
+}
+
+std::vector<AlignedEvent> AlignedEvents(const MergedTrace& merged) {
+  std::vector<AlignedEvent> events;
+  for (const TraceShard& shard : merged.shards) {
+    const auto rank = static_cast<std::uint32_t>(shard.header.rank);
+    for (const ShardEvent& e : shard.events) {
+      events.push_back(AlignedEvent{merged.AlignedNs(rank, e.t_ns), rank, &e});
+    }
+  }
+  std::stable_sort(events.begin(), events.end(),
+                   [](const AlignedEvent& a, const AlignedEvent& b) {
+                     return a.t_ns < b.t_ns;
+                   });
+  return events;
 }
 
 LatencyStats EndToEndLatency(const MergedTrace& merged) {
@@ -316,27 +379,8 @@ JsonValue MergedTraceJson(const MergedTrace& merged) {
     pairs.PushBack(std::move(jp));
   }
   doc.Set("pairs", std::move(pairs));
-  // Every shard event, clock-aligned and merged; ties keep rank order
-  // then per-shard emission order (deterministic for golden pinning).
-  struct Merged {
-    std::uint64_t t_ns;
-    std::uint32_t rank;
-    const ShardEvent* event;
-  };
-  std::vector<Merged> events;
-  for (const TraceShard& shard : merged.shards) {
-    for (const ShardEvent& e : shard.events) {
-      events.push_back(Merged{
-          merged.AlignedNs(shard.header.rank, e.t_ns),
-          static_cast<std::uint32_t>(shard.header.rank), &e});
-    }
-  }
-  std::stable_sort(events.begin(), events.end(),
-                   [](const Merged& a, const Merged& b) {
-                     return a.t_ns < b.t_ns;
-                   });
   JsonValue out_events = JsonValue::Array();
-  for (const Merged& m : events) {
+  for (const AlignedEvent& m : AlignedEvents(merged)) {
     JsonValue je = JsonValue::Object();
     je.Set("t_ns", static_cast<std::size_t>(m.t_ns));
     je.Set("rank", static_cast<std::size_t>(m.rank));
@@ -345,6 +389,9 @@ JsonValue MergedTraceJson(const MergedTrace& merged) {
     je.Set("b", static_cast<std::size_t>(m.event->b));
     je.Set("value", static_cast<std::size_t>(m.event->value));
     if (!m.event->label.empty()) je.Set("label", m.event->label);
+    if (m.event->tid != 0) {
+      je.Set("tid", static_cast<std::size_t>(m.event->tid));
+    }
     out_events.PushBack(std::move(je));
   }
   doc.Set("events", std::move(out_events));
@@ -357,47 +404,87 @@ JsonValue MergedChromeTrace(const MergedTrace& merged) {
   const auto us = [](std::uint64_t ns) {
     return JsonValue(static_cast<double>(ns) / 1000.0);
   };
-  for (const TraceShard& shard : merged.shards) {
-    const std::size_t pid = shard.header.rank + 1;
+  const auto metadata = [&events](const char* name, std::size_t pid,
+                                  std::size_t tid, std::string value) {
     JsonValue meta = JsonValue::Object();
-    meta.Set("name", "process_name");
+    meta.Set("name", name);
     meta.Set("ph", "M");
     meta.Set("pid", pid);
-    meta.Set("tid", std::size_t{0});
-    JsonValue margs = JsonValue::Object();
-    margs.Set("name", "server " + std::to_string(shard.header.rank));
-    meta.Set("args", std::move(margs));
+    meta.Set("tid", tid);
+    JsonValue args = JsonValue::Object();
+    args.Set("name", std::move(value));
+    meta.Set("args", std::move(args));
     events.PushBack(std::move(meta));
+  };
+  // Lanes and tracks up front, so viewers label them before any event.
+  for (const TraceShard& shard : merged.shards) {
+    const std::size_t pid = shard.header.rank + 1;
+    metadata("process_name", pid, 0,
+             "server " + std::to_string(shard.header.rank));
+    std::set<std::uint32_t> tids = {0};
+    for (const ShardEvent& e : shard.events) tids.insert(e.tid);
+    for (const std::uint32_t tid : tids) {
+      metadata("thread_name", pid, tid, "thread " + std::to_string(tid));
+    }
   }
-  // Per-rank local events: spans as slices, the rest as thread instants.
+  // Per-rank local events: spans as slices, the rest as thread instants,
+  // load-like kinds also as counters.
   for (const TraceShard& shard : merged.shards) {
     const std::size_t pid = shard.header.rank + 1;
     const std::uint64_t rank = shard.header.rank;
+    std::uint64_t wire_sent = 0;
+    std::uint64_t wire_received = 0;
     for (const ShardEvent& e : shard.events) {
+      const std::uint64_t t_ns = merged.AlignedNs(rank, e.t_ns);
       JsonValue je = JsonValue::Object();
       je.Set("name", e.label.empty() ? e.kind : e.label);
       je.Set("cat", e.kind);
       if (e.kind == "span") {
         je.Set("ph", "X");
         // A span event is stamped at its *end*; value is the duration.
-        const std::uint64_t end_ns = merged.AlignedNs(rank, e.t_ns);
-        const std::uint64_t start_ns =
-            end_ns > e.value ? end_ns - e.value : 0;
-        je.Set("ts", us(start_ns));
+        je.Set("ts", us(t_ns > e.value ? t_ns - e.value : 0));
         je.Set("dur", us(e.value));
       } else {
         je.Set("ph", "i");
         je.Set("s", "t");
-        je.Set("ts", us(merged.AlignedNs(rank, e.t_ns)));
+        je.Set("ts", us(t_ns));
       }
       je.Set("pid", pid);
-      je.Set("tid", std::size_t{0});
+      je.Set("tid", static_cast<std::size_t>(e.tid));
       JsonValue args = JsonValue::Object();
       args.Set("a", static_cast<std::size_t>(e.a));
       args.Set("b", static_cast<std::size_t>(e.b));
       args.Set("value", static_cast<std::size_t>(e.value));
       je.Set("args", std::move(args));
       events.PushBack(std::move(je));
+
+      JsonValue series = JsonValue::Object();
+      const char* counter = nullptr;
+      if (e.kind == "mpc.round_end" || e.kind == "mpc.server_load") {
+        counter = e.kind == "mpc.round_end" ? "mpc.round_load"
+                                            : "mpc.server_load";
+        series.Set("tuples", static_cast<std::size_t>(e.value));
+      } else if (e.kind == "net.broadcast" || e.kind == "net.deliver") {
+        counter = "net.message_facts";
+        series.Set("facts", static_cast<std::size_t>(e.value));
+      } else if (e.kind == "datalog.iteration") {
+        counter = "datalog.delta";
+        series.Set("facts", static_cast<std::size_t>(e.value));
+      } else if (e.kind == "transport.send" || e.kind == "transport.recv") {
+        counter = "transport.wire_bytes";
+        (e.kind == "transport.send" ? wire_sent : wire_received) += e.value;
+        series.Set("sent", static_cast<std::size_t>(wire_sent));
+        series.Set("received", static_cast<std::size_t>(wire_received));
+      }
+      if (counter == nullptr) continue;
+      JsonValue jc = JsonValue::Object();
+      jc.Set("name", counter);
+      jc.Set("ph", "C");
+      jc.Set("ts", us(t_ns));
+      jc.Set("pid", pid);
+      jc.Set("tid", static_cast<std::size_t>(e.tid));
+      jc.Set("args", std::move(series));
+      events.PushBack(std::move(jc));
     }
   }
   // Matched pairs: a 1 µs slice at each endpoint with a flow arrow

@@ -10,9 +10,12 @@
 #include "obs/json.h"
 
 /// \file
-/// Shard merging: reassembles the per-process trace shards of one
-/// `mpc_procs` run (obs/dist/shard.h) into a single mesh-wide trace with
-/// aligned clocks, matched send/recv pairs and wire-latency statistics.
+/// Shard merging: reassembles the trace shards of one run (obs/dist/shard.h)
+/// into a single trace with aligned clocks, matched send/recv pairs and
+/// wire-latency statistics. A MergedTrace is what every trace consumer
+/// reads — trace_dump, the Chrome export, the causal report — whether it
+/// came from the p shards of an `mpc_procs` mesh or from one local Tracer
+/// (LocalTrace: one shard, nothing to align or pair).
 ///
 /// Join key. A sender stamps every cross-process fact batch with a span
 /// id (its per-process send sequence number) and emits a `dist.send`
@@ -102,6 +105,27 @@ std::optional<MergedTrace> MergeShards(std::vector<TraceShard> shards,
                                        std::string* error,
                                        const MergeOptions& options = {});
 
+/// Loads the shard files of one run (ParseShard) and merges them: the one
+/// trace loader. On an unreadable shard or a failed merge returns
+/// nullopt and sets \p error when non-null.
+std::optional<MergedTrace> LoadMergedTrace(
+    const std::vector<std::string>& paths, std::string* error);
+
+/// A local recording as a merged trace: ShardFromTracer(tracer) merged on
+/// its own.
+MergedTrace LocalTrace(const Tracer& tracer);
+
+/// One shard event placed on the merged timeline.
+struct AlignedEvent {
+  std::uint64_t t_ns = 0;  // Aligned time.
+  std::uint32_t rank = 0;
+  const ShardEvent* event = nullptr;  // Points into MergedTrace::shards.
+};
+
+/// Every shard event, clock-aligned and in time order; ties keep rank
+/// order, then per-shard emission order (deterministic for golden pins).
+std::vector<AlignedEvent> AlignedEvents(const MergedTrace& merged);
+
 /// Percentile summary of pair latencies.
 struct LatencyStats {
   std::size_t count = 0;
@@ -129,11 +153,23 @@ JsonValue LatencySummaryJson(const MergedTrace& merged);
 /// deterministic shards — the golden-pin target.
 JsonValue MergedTraceJson(const MergedTrace& merged);
 
-/// Chrome Trace Event export: one process lane per server rank (pid =
-/// rank + 1), matched pairs as flow arrows ("s"/"f" bound to 1 µs "X"
-/// slices at send and recv), span events as slices and everything else as
-/// instants in the owning rank's lane. Load with chrome://tracing or
-/// Perfetto.
+/// Chrome Trace Event export (load with chrome://tracing or Perfetto):
+///   rank r            -> process lane pid r + 1 ("server r")
+///   event tid t       -> thread track t in that lane ("thread t")
+///   span              -> complete "X" slice; spans are stamped at their
+///                        end with the duration in value
+///   any other event   -> thread-scoped instant "i", args {a, b, value}
+///   mpc.round_end     -> also counter "mpc.round_load" (tuples)
+///   mpc.server_load   -> also counter "mpc.server_load" (tuples)
+///   net.broadcast,
+///   net.deliver       -> also counter "net.message_facts" (facts)
+///   datalog.iteration -> also counter "datalog.delta" (facts)
+///   transport.send,
+///   transport.recv    -> also counter "transport.wire_bytes", cumulative
+///                        "sent"/"received" series per rank (the slope is
+///                        wire throughput)
+///   matched pair      -> flow arrow ("s"/"f") bound to 1 µs "X" slices at
+///                        send and recv.
 JsonValue MergedChromeTrace(const MergedTrace& merged);
 
 }  // namespace lamp::obs::dist

@@ -5,6 +5,7 @@
 #include <ostream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 namespace lamp::obs::dist {
 
@@ -75,29 +76,39 @@ std::string ShardPath(std::string_view prefix, std::string_view label,
   return path;
 }
 
-void WriteShard(std::ostream& os, const ShardHeader& header,
-                const Tracer& tracer) {
-  ShardHeader h = header;
-  h.dropped = tracer.dropped();
-  h.total_emitted = tracer.total_emitted();
-  os << h.ToJson().Dump() << "\n";
-  for (const TraceEvent& e : tracer.Events()) {
+TraceShard ShardFromTracer(const Tracer& tracer, ShardHeader header) {
+  TraceShard shard;
+  shard.header = std::move(header);
+  shard.header.dropped = tracer.dropped();
+  shard.header.total_emitted = tracer.total_emitted();
+  for (const Tracer::ShardedEvent& se : tracer.ShardedEvents()) {
+    const TraceEvent& e = se.event;
+    shard.events.push_back(
+        ShardEvent{e.t_ns, std::string(EventKindName(e.kind)), e.a, e.b,
+                   e.value, e.label == nullptr ? "" : e.label, se.shard});
+  }
+  return shard;
+}
+
+void WriteShard(std::ostream& os, const TraceShard& shard) {
+  os << shard.header.ToJson().Dump() << "\n";
+  for (const ShardEvent& e : shard.events) {
     JsonValue je = JsonValue::Object();
     je.Set("t_ns", static_cast<std::size_t>(e.t_ns));
-    je.Set("kind", EventKindName(e.kind));
+    je.Set("kind", e.kind);
     je.Set("a", static_cast<std::size_t>(e.a));
     je.Set("b", static_cast<std::size_t>(e.b));
     je.Set("value", static_cast<std::size_t>(e.value));
-    if (e.label != nullptr) je.Set("label", e.label);
+    if (!e.label.empty()) je.Set("label", e.label);
+    if (e.tid != 0) je.Set("tid", static_cast<std::size_t>(e.tid));
     os << je.Dump() << "\n";
   }
 }
 
-bool WriteShardFile(const std::string& path, const ShardHeader& header,
-                    const Tracer& tracer) {
+bool WriteShardFile(const std::string& path, const TraceShard& shard) {
   std::ofstream os(path, std::ios::trunc);
   if (!os) return false;
-  WriteShard(os, header, tracer);
+  WriteShard(os, shard);
   return static_cast<bool>(os);
 }
 
@@ -139,19 +150,10 @@ std::optional<TraceShard> ParseShard(std::istream& is, std::string* error) {
         v != nullptr && v->IsString()) {
       e.label = v->AsString();
     }
+    e.tid = static_cast<std::uint32_t>(GetU64(*doc, "tid"));
     shard.events.push_back(std::move(e));
   }
   return shard;
-}
-
-std::optional<TraceShard> LoadShardFile(const std::string& path,
-                                        std::string* error) {
-  std::ifstream is(path);
-  if (!is) {
-    if (error != nullptr) *error = "cannot open shard file: " + path;
-    return std::nullopt;
-  }
-  return ParseShard(is, error);
 }
 
 }  // namespace lamp::obs::dist

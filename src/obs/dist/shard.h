@@ -12,22 +12,26 @@
 #include "obs/trace.h"
 
 /// \file
-/// Per-process trace shards ("lamp.traceshard.v1"): the on-disk half of
-/// distributed tracing.
+/// Trace shards ("lamp.traceshard.v1"): the one trace format. A shard is
+/// one process's recording; a local run is a single shard (rank 0 of a
+/// one-process mesh, see ShardFromTracer) and a multi-process run is one
+/// shard per rank, reassembled by obs/dist/merge.h.
 ///
 /// Every `mpc_procs` worker runs with an isolated in-process Tracer; at
 /// exit it flushes the ring buffer to a JSON-lines file so a merger
-/// (obs/dist/merge.h, `trace_dump --merge`) can reassemble one mesh-wide
-/// trace after the processes are gone. The format is JSON-lines rather
-/// than one document so a crashed worker still leaves a parseable prefix:
+/// (`trace_dump <shard>...`) can reassemble one mesh-wide trace after the
+/// processes are gone. The format is JSON-lines rather than one document
+/// so a crashed worker still leaves a parseable prefix:
 ///
 ///   line 1:   {"schema":"lamp.traceshard.v1","rank":R,"procs":P,
 ///              "trace_id":T,"label":"...","ring_t0_ns":..,"ring_t1_ns":..,
 ///              "ring_fold_ns":..,"dropped":D,"total_emitted":E}
-///   line 2..: {"t_ns":..,"kind":"dist.send","a":..,"b":..,"value":..}
+///   line 2..: {"t_ns":..,"kind":"dist.send","a":..,"b":..,"value":..,
+///              "label":"..","tid":..}
 ///
-/// Event lines use the same field names as "lamp.trace.v1" events, so any
-/// trace.v1 reader understands them once the header line is skipped.
+/// "label" is present only on labelled events and "tid" (the emitting
+/// thread's ring index within the process) only when non-zero, so a
+/// single-threaded recording has no "tid" fields at all.
 ///
 /// Clock metadata: process-local tracer clocks start at an arbitrary
 /// epoch, so shard timestamps are mutually incomparable until aligned.
@@ -70,6 +74,7 @@ struct ShardEvent {
   std::uint32_t b = 0;
   std::uint64_t value = 0;
   std::string label;
+  std::uint32_t tid = 0;  // Emitting thread's ring index in its process.
 };
 
 /// A loaded shard: header plus events in emission order.
@@ -85,23 +90,24 @@ struct TraceShard {
 std::string ShardPath(std::string_view prefix, std::string_view label,
                       std::uint64_t procs, std::uint64_t rank);
 
-/// Writes \p tracer's merged ring content as a shard. `header.dropped` and
-/// `header.total_emitted` are overwritten from the tracer; every other
-/// header field is the caller's.
-void WriteShard(std::ostream& os, const ShardHeader& header,
-                const Tracer& tracer);
+/// A recording as a shard: \p tracer's ring content in time order, each
+/// event tagged with its thread's ring index. `header.dropped` and
+/// `header.total_emitted` are taken from the tracer; every other header
+/// field is the caller's. The default header (rank 0, procs 1) makes the
+/// shard a whole local run.
+TraceShard ShardFromTracer(const Tracer& tracer, ShardHeader header = {});
+
+/// Writes \p shard as JSON lines (header line, then one line per event).
+void WriteShard(std::ostream& os, const TraceShard& shard);
 
 /// WriteShard to a file; false (with no partial file guarantees) when the
 /// path cannot be opened.
-bool WriteShardFile(const std::string& path, const ShardHeader& header,
-                    const Tracer& tracer);
+bool WriteShardFile(const std::string& path, const TraceShard& shard);
 
 /// Parses one shard. Returns nullopt and sets \p error (when non-null) on
 /// a missing/malformed header line; malformed *event* lines after a good
 /// header are skipped so a truncated tail (crashed worker) still loads.
 std::optional<TraceShard> ParseShard(std::istream& is, std::string* error);
-std::optional<TraceShard> LoadShardFile(const std::string& path,
-                                        std::string* error);
 
 }  // namespace lamp::obs::dist
 

@@ -197,6 +197,14 @@ class Parser {
     return true;
   }
 
+  // Nesting bookkeeping for arrays and objects. A failed parse abandons
+  // the whole document, so only a successful close needs to ascend.
+  bool Descend() { return ++depth_ <= JsonValue::kMaxParseDepth; }
+  bool Ascend() {
+    --depth_;
+    return true;
+  }
+
   bool ParseValue(JsonValue& out) {
     if (AtEnd()) return false;
     switch (Peek()) {
@@ -228,10 +236,10 @@ class Parser {
   }
 
   bool ParseObject(JsonValue& out) {
-    if (!Consume('{')) return false;
+    if (!Consume('{') || !Descend()) return false;
     out = JsonValue::Object();
     SkipWs();
-    if (Consume('}')) return true;
+    if (Consume('}')) return Ascend();
     while (true) {
       SkipWs();
       std::string key;
@@ -243,23 +251,23 @@ class Parser {
       if (!ParseValue(v)) return false;
       out.Set(key, std::move(v));
       SkipWs();
-      if (Consume('}')) return true;
+      if (Consume('}')) return Ascend();
       if (!Consume(',')) return false;
     }
   }
 
   bool ParseArray(JsonValue& out) {
-    if (!Consume('[')) return false;
+    if (!Consume('[') || !Descend()) return false;
     out = JsonValue::Array();
     SkipWs();
-    if (Consume(']')) return true;
+    if (Consume(']')) return Ascend();
     while (true) {
       SkipWs();
       JsonValue v;
       if (!ParseValue(v)) return false;
       out.PushBack(std::move(v));
       SkipWs();
-      if (Consume(']')) return true;
+      if (Consume(']')) return Ascend();
       if (!Consume(',')) return false;
     }
   }
@@ -401,6 +409,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

@@ -1,7 +1,9 @@
 #ifndef LAMP_OBS_JSON_H_
 #define LAMP_OBS_JSON_H_
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -13,8 +15,8 @@
 /// with a writer (deterministic key order — whatever order keys were set
 /// in) and a strict recursive-descent parser. This is the wire format of
 /// the observability layer: bench records (obs/bench_report.h), metric
-/// snapshots (obs/metrics.h) and trace dumps (obs/trace.h) all serialise
-/// through JsonValue, and tools/trace_dump reads them back.
+/// snapshots (obs/metrics.h) and trace shards (obs/dist/shard.h) all
+/// serialise through JsonValue, and tools/trace_dump reads them back.
 ///
 /// Numbers are stored as double plus an exact-int64 side channel so that
 /// counters (tuple counts, loads) round-trip without losing precision.
@@ -60,9 +62,14 @@ class JsonValue {
   bool AsBool() const { return bool_; }
   double AsDouble() const { return num_; }
   /// Exact integer when the value was produced from one; otherwise the
-  /// truncated double.
+  /// truncated double, saturated to the int64 range (NaN reads as 0), so
+  /// an out-of-range number from untrusted input never overflows the cast.
   std::int64_t AsInt() const {
-    return int_.has_value() ? *int_ : static_cast<std::int64_t>(num_);
+    if (int_.has_value()) return *int_;
+    if (std::isnan(num_)) return 0;
+    if (num_ >= 0x1p63) return std::numeric_limits<std::int64_t>::max();
+    if (num_ < -0x1p63) return std::numeric_limits<std::int64_t>::min();
+    return static_cast<std::int64_t>(num_);
   }
   const std::string& AsString() const { return str_; }
 
@@ -87,7 +94,10 @@ class JsonValue {
   std::string Dump(int indent = -1) const;
 
   /// Strict parser (no comments, no trailing commas). Returns nullopt on
-  /// any syntax error or trailing garbage.
+  /// any syntax error, trailing garbage, or arrays/objects nested deeper
+  /// than kMaxParseDepth (the parser recurses once per level, so unbounded
+  /// nesting in untrusted input would exhaust the stack).
+  static constexpr int kMaxParseDepth = 1024;
   static std::optional<JsonValue> Parse(std::string_view text);
 
  private:

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <ostream>
 
 #include "common/check.h"
 
@@ -210,34 +209,6 @@ Tracer* InstallTracer(Tracer* tracer) {
   Tracer* prev = internal::g_tracer;
   internal::g_tracer = tracer;
   return prev;
-}
-
-JsonValue TraceToJson(const Tracer& tracer) {
-  JsonValue out = JsonValue::Object();
-  out.Set("schema", "lamp.trace.v1");
-  out.Set("capacity", tracer.capacity());
-  out.Set("total_emitted", static_cast<std::size_t>(tracer.total_emitted()));
-  out.Set("dropped", static_cast<std::size_t>(tracer.dropped()));
-  out.Set("shards", tracer.num_shards());
-  JsonValue events = JsonValue::Array();
-  for (const Tracer::ShardedEvent& se : tracer.ShardedEvents()) {
-    const TraceEvent& e = se.event;
-    JsonValue je = JsonValue::Object();
-    je.Set("t_ns", static_cast<std::size_t>(e.t_ns));
-    je.Set("kind", EventKindName(e.kind));
-    je.Set("a", static_cast<std::size_t>(e.a));
-    je.Set("b", static_cast<std::size_t>(e.b));
-    je.Set("value", static_cast<std::size_t>(e.value));
-    je.Set("shard", static_cast<std::size_t>(se.shard));
-    if (e.label != nullptr) je.Set("label", e.label);
-    events.PushBack(std::move(je));
-  }
-  out.Set("events", std::move(events));
-  return out;
-}
-
-void WriteTraceJson(const Tracer& tracer, std::ostream& os) {
-  os << TraceToJson(tracer).Dump(2) << "\n";
 }
 
 }  // namespace lamp::obs

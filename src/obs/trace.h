@@ -3,15 +3,12 @@
 
 #include <chrono>
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <mutex>
 #include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
-
-#include "obs/json.h"
 
 /// \file
 /// Low-overhead event tracing for the MPC simulator, the transducer
@@ -25,8 +22,9 @@
 ///      buffer; once full, the oldest events are overwritten and counted
 ///      as dropped. A trace can therefore be left on for an arbitrarily
 ///      long run.
-///   3. *Machine readable.* WriteTraceJson serialises a trace to the
-///      obs JSON schema; tools/trace_dump renders it as a timeline.
+///   3. *Machine readable.* obs::dist::ShardFromTracer turns a recording
+///      into a lamp.traceshard.v1 trace shard (obs/dist/shard.h), the one
+///      trace format; tools/trace_dump renders it as a timeline.
 ///
 /// Event payloads are four scalars (a, b, value, label) whose meaning is
 /// fixed per EventKind — see the kind list. Labels must point to storage
@@ -124,8 +122,8 @@ class Tracer {
   std::vector<TraceEvent> Events() const;
 
   /// Like Events(), but each event carries the index of the shard (the
-  /// emitting thread's registration order) it came from. Shard indices are
-  /// what the Chrome Trace exporter maps to tids.
+  /// emitting thread's registration order) it came from. Shard indices
+  /// become the "tid" of trace-shard events and Chrome Trace tracks.
   struct ShardedEvent {
     TraceEvent event;
     std::uint32_t shard = 0;
@@ -219,15 +217,6 @@ class TraceSpan {
   std::uint32_t a_;
   std::uint64_t start_ns_ = 0;
 };
-
-/// Serialises a trace:
-///   {"schema": "lamp.trace.v1", "capacity": N, "total_emitted": N,
-///    "dropped": N, "shards": N, "events": [{"t_ns":..,"kind":"..",
-///    "a":..,"b":..,"value":..,"shard":..,"label":..}, ...]}
-/// "shard" is the emitting thread's shard index (0 in single-threaded
-/// runs); readers treat a missing "shard" as 0.
-JsonValue TraceToJson(const Tracer& tracer);
-void WriteTraceJson(const Tracer& tracer, std::ostream& os);
 
 }  // namespace lamp::obs
 

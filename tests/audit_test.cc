@@ -19,6 +19,7 @@
 #include "obs/audit/catalog.h"
 #include "obs/audit/causal.h"
 #include "obs/audit/sketch.h"
+#include "obs/dist/merge.h"
 #include "obs/json.h"
 #include "obs/trace.h"
 #include "relational/generators.h"
@@ -412,14 +413,24 @@ std::uint64_t PackCausal(std::uint64_t depth, std::uint32_t parent_plus_1) {
   return (depth << 32) | parent_plus_1;
 }
 
-TraceEvent Ev(EventKind kind, std::uint32_t a, std::uint32_t b,
-              std::uint64_t value) {
-  TraceEvent e;
-  e.kind = kind;
+dist::ShardEvent Ev(EventKind kind, std::uint32_t a, std::uint32_t b,
+                    std::uint64_t value) {
+  dist::ShardEvent e;
+  e.kind = EventKindName(kind);
   e.a = a;
   e.b = b;
   e.value = value;
   return e;
+}
+
+/// The report of a local run whose one shard holds \p events.
+CausalReport ReportOf(std::vector<dist::ShardEvent> events) {
+  std::vector<dist::TraceShard> shards(1);
+  shards[0].events = std::move(events);
+  std::string error;
+  const auto merged = dist::MergeShards(std::move(shards), &error);
+  EXPECT_TRUE(merged.has_value()) << error;
+  return BuildCausalReport(*merged);
 }
 
 TEST(CausalReportTest, ExtractsDepthOutputsAndCriticalPath) {
@@ -428,14 +439,14 @@ TEST(CausalReportTest, ExtractsDepthOutputsAndCriticalPath) {
   // 2, parent transition 0) to node 2; transition 2 delivers depth 3.
   // Node 2 outputs while processing transition 2; node 0 had already
   // produced a heartbeat output (depth 0).
-  std::vector<TraceEvent> events;
+  std::vector<dist::ShardEvent> events;
   events.push_back(Ev(EventKind::kNetOutput, 0, 0, 0));
   events.push_back(Ev(EventKind::kNetCausalDeliver, 1, 0, PackCausal(1, 0)));
   events.push_back(Ev(EventKind::kNetCausalDeliver, 2, 1, PackCausal(2, 0 + 1)));
   events.push_back(Ev(EventKind::kNetCausalDeliver, 0, 2, PackCausal(3, 1 + 1)));
   events.push_back(Ev(EventKind::kNetOutput, 0, 2 + 1, 3));
 
-  const CausalReport report = BuildCausalReport(events);
+  const CausalReport report = ReportOf(events);
   EXPECT_EQ(report.deliveries, 3u);
   EXPECT_EQ(report.max_depth, 3u);
   EXPECT_TRUE(report.has_output);
@@ -453,16 +464,16 @@ TEST(CausalReportTest, ExtractsDepthOutputsAndCriticalPath) {
 }
 
 TEST(CausalReportTest, FirstOutputAfterDeliveryIsCoordinated) {
-  std::vector<TraceEvent> events;
+  std::vector<dist::ShardEvent> events;
   events.push_back(Ev(EventKind::kNetCausalDeliver, 1, 0, PackCausal(1, 0)));
   events.push_back(Ev(EventKind::kNetOutput, 1, 0 + 1, 1));
-  const CausalReport report = BuildCausalReport(events);
+  const CausalReport report = ReportOf(events);
   EXPECT_EQ(report.coordination_depth, 1u);
   EXPECT_FALSE(report.CoordinationFree());
 }
 
 TEST(CausalReportTest, EmptyTraceIsTriviallyCoordinationFree) {
-  const CausalReport report = BuildCausalReport(std::vector<TraceEvent>{});
+  const CausalReport report = ReportOf({});
   EXPECT_EQ(report.deliveries, 0u);
   EXPECT_FALSE(report.has_output);
   EXPECT_TRUE(report.CoordinationFree());
@@ -470,11 +481,11 @@ TEST(CausalReportTest, EmptyTraceIsTriviallyCoordinationFree) {
 }
 
 TEST(CausalReportTest, JsonRoundTrip) {
-  std::vector<TraceEvent> events;
+  std::vector<dist::ShardEvent> events;
   events.push_back(Ev(EventKind::kNetCausalDeliver, 1, 0, PackCausal(1, 0)));
   events.push_back(Ev(EventKind::kNetCausalDeliver, 2, 1, PackCausal(2, 1)));
   events.push_back(Ev(EventKind::kNetOutput, 2, 1 + 1, 2));
-  const CausalReport report = BuildCausalReport(events);
+  const CausalReport report = ReportOf(events);
 
   const std::optional<JsonValue> doc =
       JsonValue::Parse(report.ToJson().Dump());

@@ -18,6 +18,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
+#include <sstream>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "cq/eval.h"
@@ -25,6 +29,8 @@
 #include "net/network.h"
 #include "net/programs.h"
 #include "obs/audit/causal.h"
+#include "obs/dist/merge.h"
+#include "obs/dist/shard.h"
 #include "obs/trace.h"
 #include "relational/generators.h"
 #include "sa/analyzer.h"
@@ -51,7 +57,7 @@ Profile RunProfiled(TransducerProgram& program, std::vector<Instance> locals,
                           /*aware=*/true);
     p.result = net.Run(seed);
   }
-  p.report = obs::audit::BuildCausalReport(tracer.Events());
+  p.report = obs::audit::BuildCausalReport(obs::dist::LocalTrace(tracer));
   return p;
 }
 
@@ -166,12 +172,64 @@ TEST(CausalCrossvalTest, HeartbeatOnlyRunIsCoordinationFree) {
     result = net.RunWithoutDelivery();
   }
   const CausalReport report =
-      obs::audit::BuildCausalReport(tracer.Events());
+      obs::audit::BuildCausalReport(obs::dist::LocalTrace(tracer));
   EXPECT_EQ(result.output, w.expected);
   EXPECT_EQ(result.coordination_depth(), 0u);
   EXPECT_EQ(report.deliveries, 0u);
   EXPECT_TRUE(report.CoordinationFree());
   EXPECT_TRUE(report.has_output);
+}
+
+// One trace model, one loader: the causal report and the Chrome export of
+// the in-memory one-shard trace must equal those built after the shard
+// went through WriteShard and ParseShard — thread ids and labels included.
+TEST(CausalCrossvalTest, FileAndLivePathsAgree) {
+  Workload w;
+  const auto query = [&w](const Instance& instance) {
+    return Evaluate(w.query, instance);
+  };
+  MonotoneBroadcastProgram monotone(query);
+  Schema barrier_schema = w.schema;
+  CoordinatedBarrierProgram barrier(query, barrier_schema);
+  for (TransducerProgram* program :
+       {static_cast<TransducerProgram*>(&monotone),
+        static_cast<TransducerProgram*>(&barrier)}) {
+    obs::Tracer tracer;
+    {
+      obs::ScopedTracer install(tracer);
+      TransducerNetwork net(DistributeReplicated(w.graph, 3), *program,
+                            nullptr, /*aware=*/true);
+      (void)net.Run(/*seed=*/5);
+      // A labelled span from a second thread: its events get tid 1.
+      std::thread([] { obs::TraceSpan span("side_thread"); }).join();
+    }
+    const obs::dist::MergedTrace live = obs::dist::LocalTrace(tracer);
+
+    std::stringstream file;
+    obs::dist::WriteShard(file, obs::dist::ShardFromTracer(tracer));
+    std::string error;
+    std::optional<obs::dist::TraceShard> shard =
+        obs::dist::ParseShard(file, &error);
+    ASSERT_TRUE(shard.has_value()) << error;
+    std::vector<obs::dist::TraceShard> shards;
+    shards.push_back(std::move(*shard));
+    const auto loaded = obs::dist::MergeShards(std::move(shards), &error);
+    ASSERT_TRUE(loaded.has_value()) << error;
+
+    const CausalReport report = obs::audit::BuildCausalReport(*loaded);
+    EXPECT_TRUE(report.has_output);
+    EXPECT_EQ(report.ToJson().Dump(),
+              obs::audit::BuildCausalReport(live).ToJson().Dump());
+    EXPECT_EQ(obs::dist::MergedChromeTrace(*loaded).Dump(),
+              obs::dist::MergedChromeTrace(live).Dump());
+    std::size_t side_spans = 0;
+    for (const obs::dist::ShardEvent& e : loaded->shards[0].events) {
+      if (e.label != "side_thread") continue;
+      ++side_spans;
+      EXPECT_EQ(e.tid, 1u);
+    }
+    EXPECT_EQ(side_spans, 1u);
+  }
 }
 
 }  // namespace

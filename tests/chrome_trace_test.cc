@@ -1,14 +1,12 @@
 // Golden-file test for the Chrome Trace Event export
-// (src/obs/chrome_trace.h). A synthetic lamp.trace.v1 document with
-// fixed timestamps exercises every mapping rule — span → "X" complete
-// event, instants, per-kind counter tracks, shard → tid, dropped-count
+// (obs::dist::MergedChromeTrace). A synthetic one-shard trace with fixed
+// timestamps exercises every mapping rule — span → "X" complete event,
+// instants, per-kind counter tracks, thread → tid, dropped-count
 // passthrough — and the exported JSON must match
 // tests/golden/chrome_trace_golden.json byte for byte.
 //
 // Regenerate the golden after an intentional format change with:
 //   LAMP_REGEN_GOLDEN=1 ./build/tests/chrome_trace_test
-
-#include "obs/chrome_trace.h"
 
 #include <gtest/gtest.h>
 
@@ -18,6 +16,8 @@
 #include <sstream>
 #include <string>
 
+#include "obs/dist/merge.h"
+#include "obs/dist/shard.h"
 #include "obs/json.h"
 #include "obs/trace.h"
 
@@ -25,36 +25,36 @@
 #error "tests/CMakeLists.txt must define LAMP_TESTS_DIR"
 #endif
 
-namespace lamp::obs {
+namespace lamp::obs::dist {
 namespace {
 
-// Fixed timestamps, two shards, one span, every counter-mapped kind,
+// Fixed timestamps, two threads, one span, every counter-mapped kind,
 // and a non-zero dropped count.
-constexpr const char kSyntheticTrace[] = R"({
-  "schema": "lamp.trace.v1",
-  "capacity": 65536,
-  "total_emitted": 8,
-  "dropped": 2,
-  "shards": 2,
-  "events": [
-    {"t_ns": 1000, "kind": "mpc.round_begin", "a": 1, "b": 0, "value": 0, "shard": 0},
-    {"t_ns": 5000, "kind": "mpc.round_end", "a": 1, "b": 0, "value": 120, "shard": 0},
-    {"t_ns": 6000, "kind": "net.broadcast", "a": 3, "b": 7, "value": 42, "shard": 1},
-    {"t_ns": 7000, "kind": "net.deliver", "a": 7, "b": 3, "value": 42, "shard": 1},
-    {"t_ns": 8000, "kind": "datalog.iteration", "a": 2, "b": 0, "value": 9, "shard": 0},
-    {"t_ns": 9000, "kind": "span", "a": 4, "b": 0, "value": 4000, "shard": 1, "label": "eval"},
-    {"t_ns": 9500, "kind": "mpc.server_load", "a": 5, "b": 0, "value": 77, "shard": 1}
-  ]
-})";
+TraceShard SyntheticShard() {
+  TraceShard shard;
+  shard.header.total_emitted = 9;
+  shard.header.dropped = 2;
+  shard.events = {
+      {1000, "mpc.round_begin", 1, 0, 0, "", 0},
+      {5000, "mpc.round_end", 1, 0, 120, "", 0},
+      {6000, "net.broadcast", 3, 7, 42, "", 1},
+      {7000, "net.deliver", 7, 3, 42, "", 1},
+      {8000, "datalog.iteration", 2, 0, 9, "", 0},
+      {9000, "span", 4, 0, 4000, "eval", 1},
+      {9500, "mpc.server_load", 5, 0, 77, "", 1},
+  };
+  return shard;
+}
 
 std::string GoldenPath() {
   return std::string(LAMP_TESTS_DIR) + "/golden/chrome_trace_golden.json";
 }
 
 std::string Export() {
-  const auto trace = JsonValue::Parse(kSyntheticTrace);
-  EXPECT_TRUE(trace.has_value());
-  return ChromeTraceFromTraceJson(*trace).Dump(1) + "\n";
+  std::string error;
+  const auto merged = MergeShards({SyntheticShard()}, &error);
+  EXPECT_TRUE(merged.has_value()) << error;
+  return MergedChromeTrace(*merged).Dump(1) + "\n";
 }
 
 TEST(ChromeTraceTest, MatchesGoldenFile) {
@@ -115,9 +115,9 @@ TEST(ChromeTraceTest, StructuralInvariants) {
     EXPECT_EQ(e.Find("tid")->AsInt(), 1);
   }
 
-  const JsonValue* other = parsed->Find("otherData");
-  ASSERT_TRUE(other != nullptr && other->IsObject());
-  EXPECT_EQ(other->Find("dropped")->AsInt(), 2);
+  const JsonValue* meta = parsed->Find("metadata");
+  ASSERT_TRUE(meta != nullptr && meta->IsObject());
+  EXPECT_EQ(meta->Find("dropped")->AsInt(), 2);
 }
 
 TEST(ChromeTraceTest, ExportsLiveTracer) {
@@ -130,7 +130,7 @@ TEST(ChromeTraceTest, ExportsLiveTracer) {
       Emit(EventKind::kMpcRoundEnd, 1, 0, 50);
     }
   }
-  const JsonValue chrome = ChromeTraceFromTracer(tracer);
+  const JsonValue chrome = MergedChromeTrace(LocalTrace(tracer));
   const JsonValue* events = chrome.Find("traceEvents");
   ASSERT_TRUE(events != nullptr && events->IsArray());
 
@@ -154,4 +154,4 @@ TEST(ChromeTraceTest, ExportsLiveTracer) {
 }
 
 }  // namespace
-}  // namespace lamp::obs
+}  // namespace lamp::obs::dist

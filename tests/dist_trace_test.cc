@@ -20,6 +20,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/audit/causal.h"
@@ -231,13 +232,40 @@ TEST(DistTraceTest, RejectsInconsistentShardSets) {
   EXPECT_FALSE(MergeShards({}, &error).has_value());
 }
 
+TEST(DistTraceTest, RejectsCausallyInconsistentPairsQuickly) {
+  // Every recv stamped before its send, in both directions: the
+  // difference constraints have a positive cycle, so no clock offsets
+  // exist. The merge must say so after O(p) relaxation passes, not
+  // after a number of passes that grows with the pair count.
+  std::vector<TraceShard> shards(2);
+  for (std::uint32_t r = 0; r < 2; ++r) {
+    shards[r].header.rank = r;
+    shards[r].header.procs = 2;
+  }
+  const std::uint32_t kPairs = 50000;
+  for (std::uint32_t i = 0; i < kPairs; ++i) {
+    for (std::uint32_t from = 0; from < 2; ++from) {
+      shards[from].events.push_back(
+          {1000000 + i, "dist.send", 1 - from, 0, i, "", 0});
+      shards[1 - from].events.push_back(
+          {1000 + i, "dist.recv", from, 0, i, "", 0});
+    }
+  }
+  std::string error;
+  EXPECT_FALSE(MergeShards(std::move(shards), &error).has_value());
+  EXPECT_NE(error.find("causally consistent"), std::string::npos) << error;
+}
+
 TEST(DistTraceTest, ShardIoRoundTrip) {
   // A real Tracer through WriteShard/ParseShard: the on-disk lines must
-  // reproduce the header metadata and every event, in order.
+  // reproduce the header metadata and every event, in order, with the
+  // emitting thread's index.
   Tracer tracer(16);
   tracer.Emit(EventKind::kDistSend, 1, 0, 7, nullptr);
   tracer.Emit(EventKind::kDistRecv, 2, 0, 9, nullptr);
-  tracer.Emit(EventKind::kSpan, 3, 0, 1234, "proc.route");
+  std::thread([&tracer] {
+    tracer.Emit(EventKind::kSpan, 3, 0, 1234, "proc.route");
+  }).join();
 
   ShardHeader header;
   header.rank = 1;
@@ -247,7 +275,7 @@ TEST(DistTraceTest, ShardIoRoundTrip) {
   header.ring_fold_ns = 4242;
 
   std::stringstream ss;
-  WriteShard(ss, header, tracer);
+  WriteShard(ss, ShardFromTracer(tracer, header));
   std::string error;
   const auto shard = ParseShard(ss, &error);
   ASSERT_TRUE(shard.has_value()) << error;
@@ -262,20 +290,71 @@ TEST(DistTraceTest, ShardIoRoundTrip) {
   EXPECT_EQ(shard->events[0].kind, "dist.send");
   EXPECT_EQ(shard->events[0].a, 1u);
   EXPECT_EQ(shard->events[0].value, 7u);
+  EXPECT_EQ(shard->events[0].tid, 0u);
   EXPECT_EQ(shard->events[1].kind, "dist.recv");
   EXPECT_EQ(shard->events[2].kind, "span");
   EXPECT_EQ(shard->events[2].label, "proc.route");
+  EXPECT_EQ(shard->events[2].tid, 1u);
+  // Only the second thread's line carries a "tid" field.
+  EXPECT_EQ(ss.str().find("\"tid\""), ss.str().rfind("\"tid\""));
 
   // A truncated tail (crashed worker) still loads: the partial last line
   // is skipped, the prefix survives.
   std::stringstream full;
-  WriteShard(full, header, tracer);
+  WriteShard(full, ShardFromTracer(tracer, header));
   std::string text = full.str();
   text.resize(text.size() - 10);
   std::stringstream truncated(text);
   const auto partial = ParseShard(truncated, &error);
   ASSERT_TRUE(partial.has_value()) << error;
   EXPECT_EQ(partial->events.size(), 2u);
+}
+
+TEST(DistTraceTest, OutOfRangeNumbersLoadWithoutOverflow) {
+  // Shard bytes are untrusted: numbers far outside the integer range
+  // (1e999 parses as infinity) saturate instead of overflowing the cast.
+  std::stringstream in(
+      "{\"schema\":\"lamp.traceshard.v1\",\"rank\":0,\"procs\":1,"
+      "\"dropped\":-1e300}\n"
+      "{\"t_ns\": 1e300, \"kind\": \"span\", \"value\": 1e999}\n"
+      "{\"t_ns\": -1e999, \"kind\": \"net.output\", \"a\": 1e20}\n");
+  std::string error;
+  auto shard = ParseShard(in, &error);
+  ASSERT_TRUE(shard.has_value()) << error;
+  ASSERT_EQ(shard->events.size(), 2u);
+  EXPECT_EQ(shard->events[0].t_ns,
+            static_cast<std::uint64_t>(INT64_MAX));
+  EXPECT_EQ(shard->events[0].value,
+            static_cast<std::uint64_t>(INT64_MAX));
+  std::vector<TraceShard> shards;
+  shards.push_back(std::move(*shard));
+  const auto merged = MergeShards(std::move(shards), &error);
+  ASSERT_TRUE(merged.has_value()) << error;
+  EXPECT_TRUE(MergedChromeTrace(*merged).IsObject());
+
+  // Saturated timestamps on a matched pair or in the ring probe would
+  // overflow the clock alignment: the merge rejects them instead.
+  {
+    std::vector<TraceShard> bad = SyntheticShards();
+    bad[0].events[0].t_ns = INT64_MAX;  // Pair 0's send.
+    EXPECT_FALSE(MergeShards(std::move(bad), &error).has_value());
+    EXPECT_FALSE(error.empty());
+  }
+  {
+    std::vector<TraceShard> bad = SyntheticShards();
+    bad[0].header.ring_t1_ns = UINT64_MAX;
+    EXPECT_FALSE(MergeShards(std::move(bad), &error).has_value());
+  }
+
+  // A malformed header is still an error, not a crash.
+  for (const char* header :
+       {"{\"schema\":\"lamp.traceshard.v1\",\"rank\":1e999",
+        "{\"schema\":\"lamp.trace.v1\",\"rank\":0}", "[1e300]", ""}) {
+    std::stringstream bad(header);
+    error.clear();
+    EXPECT_FALSE(ParseShard(bad, &error).has_value()) << header;
+    EXPECT_FALSE(error.empty()) << header;
+  }
 }
 
 TEST(DistTraceTest, ShardPathEncodesLabelProcsAndRank) {
@@ -322,7 +401,7 @@ TEST(DistTraceTest, ChromeExportHasOneLanePerRankAndFlowArrows) {
     const JsonValue& e = events->at(i);
     const JsonValue* ph = e.Find("ph");
     ASSERT_NE(ph, nullptr);
-    if (ph->AsString() == "M") ++lanes;
+    if (e.Find("name")->AsString() == "process_name") ++lanes;
     if (ph->AsString() == "s") ++flow_starts;
     if (ph->AsString() == "f") ++flow_ends;
   }

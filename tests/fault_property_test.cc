@@ -208,14 +208,10 @@ TEST(FaultPropertyTest, ExplorerMinimizesFragileBarrierToOneDuplication) {
   // The trace pair for trace_dump --diff: a divergent recording plus a
   // fault-free reference that computed Q(I).
   EXPECT_TRUE(witness.has_reference);
-  ASSERT_TRUE(witness.divergent_trace.IsObject());
-  ASSERT_TRUE(witness.reference_trace.IsObject());
-  const obs::JsonValue* d_events = witness.divergent_trace.Find("events");
-  const obs::JsonValue* r_events = witness.reference_trace.Find("events");
-  ASSERT_NE(d_events, nullptr);
-  ASSERT_NE(r_events, nullptr);
-  EXPECT_GT(d_events->size(), 0u);
-  EXPECT_GT(r_events->size(), 0u);
+  EXPECT_EQ(witness.divergent_trace.header.procs, 1u);
+  EXPECT_EQ(witness.reference_trace.header.procs, 1u);
+  EXPECT_GT(witness.divergent_trace.events.size(), 0u);
+  EXPECT_GT(witness.reference_trace.events.size(), 0u);
 }
 
 TEST(FaultPropertyTest, ExplorerFindsPureScheduleWitnessForNaiveBroadcast) {

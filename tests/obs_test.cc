@@ -8,10 +8,12 @@
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "obs/bench_report.h"
+#include "obs/dist/shard.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -75,6 +77,45 @@ TEST(JsonTest, ParseRejectsMalformedInput) {
   EXPECT_FALSE(JsonValue::Parse("1 trailing").has_value());
   EXPECT_FALSE(JsonValue::Parse("'single'").has_value());
   EXPECT_FALSE(JsonValue::Parse("nul").has_value());
+}
+
+TEST(JsonTest, ParseRejectsExcessiveNesting) {
+  // The parser recurses once per nesting level; a hostile document must
+  // be rejected, not overflow the stack.
+  const auto nested = [](std::size_t depth, char open, char close) {
+    std::string text(depth, open);
+    text.append(depth, close);
+    return text;
+  };
+  EXPECT_FALSE(JsonValue::Parse(nested(100000, '[', ']')).has_value());
+  EXPECT_FALSE(JsonValue::Parse(nested(JsonValue::kMaxParseDepth + 1, '[',
+                                       ']')).has_value());
+  std::string objects;
+  for (int i = 0; i < 100000; ++i) objects += "{\"a\":";
+  EXPECT_FALSE(JsonValue::Parse(objects).has_value());
+
+  const auto deep = JsonValue::Parse(nested(1000, '[', ']'));
+  ASSERT_TRUE(deep.has_value());
+  EXPECT_TRUE(deep->IsArray());
+  // Depth counts nesting, not the number of containers.
+  std::string wide = "[";
+  for (int i = 0; i < 5000; ++i) wide += i == 0 ? "[[]]" : ",[[]]";
+  wide += "]";
+  EXPECT_TRUE(JsonValue::Parse(wide).has_value());
+}
+
+TEST(JsonTest, AsIntSaturatesOutOfRangeNumbers) {
+  const auto value = [](const char* text) {
+    return JsonValue::Parse(text)->AsInt();
+  };
+  EXPECT_EQ(value("1e300"), INT64_MAX);
+  EXPECT_EQ(value("1e999"), INT64_MAX);  // Parses as infinity.
+  EXPECT_EQ(value("-1e300"), INT64_MIN);
+  EXPECT_EQ(value("-1e999"), INT64_MIN);
+  EXPECT_EQ(value("9.3e18"), INT64_MAX);
+  EXPECT_EQ(value("2.5"), 2);
+  EXPECT_EQ(value("-2.5"), -2);
+  EXPECT_EQ(JsonValue(std::nan("")).AsInt(), 0);
 }
 
 TEST(JsonTest, ExactIntegersRoundTrip) {
@@ -328,7 +369,7 @@ TEST(TracerTest, SpanOutlivingScopedTracerIsDroppedSafely) {
   EXPECT_EQ(stable.total_emitted(), 1u);
 }
 
-TEST(TracerTest, TraceToJsonSchema) {
+TEST(TracerTest, ShardFromTracerIsALocalRun) {
   Tracer tracer(8);
   {
     ScopedTracer install(tracer);
@@ -336,24 +377,28 @@ TEST(TracerTest, TraceToJsonSchema) {
     Emit(EventKind::kMpcServerLoad, 0, 3, 250);
     { TraceSpan span("mpc.route", 0); }
   }
-  const JsonValue json = TraceToJson(tracer);
-  EXPECT_EQ(json.Find("schema")->AsString(), "lamp.trace.v1");
-  EXPECT_EQ(json.Find("total_emitted")->AsInt(), 3);
-  EXPECT_EQ(json.Find("dropped")->AsInt(), 0);
-  EXPECT_EQ(json.Find("shards")->AsInt(), 1);
-  const JsonValue* events = json.Find("events");
-  ASSERT_NE(events, nullptr);
-  ASSERT_EQ(events->size(), 3u);
-  EXPECT_EQ(events->at(0).Find("kind")->AsString(), "mpc.round_begin");
-  EXPECT_EQ(events->at(0).Find("shard")->AsInt(), 0);
-  EXPECT_EQ(events->at(1).Find("kind")->AsString(), "mpc.server_load");
-  EXPECT_EQ(events->at(1).Find("b")->AsInt(), 3);
-  EXPECT_EQ(events->at(2).Find("kind")->AsString(), "span");
-  EXPECT_EQ(events->at(2).Find("label")->AsString(), "mpc.route");
-  // The serialised trace parses back.
-  std::ostringstream os;
-  WriteTraceJson(tracer, os);
-  EXPECT_TRUE(JsonValue::Parse(os.str()).has_value());
+  const dist::TraceShard shard = dist::ShardFromTracer(tracer);
+  EXPECT_EQ(shard.header.rank, 0u);
+  EXPECT_EQ(shard.header.procs, 1u);
+  EXPECT_EQ(shard.header.total_emitted, 3u);
+  EXPECT_EQ(shard.header.dropped, 0u);
+  ASSERT_EQ(shard.events.size(), 3u);
+  EXPECT_EQ(shard.events[0].kind, "mpc.round_begin");
+  EXPECT_EQ(shard.events[0].tid, 0u);
+  EXPECT_EQ(shard.events[1].kind, "mpc.server_load");
+  EXPECT_EQ(shard.events[1].b, 3u);
+  EXPECT_EQ(shard.events[2].kind, "span");
+  EXPECT_EQ(shard.events[2].label, "mpc.route");
+  // Every written line parses back.
+  std::stringstream os;
+  dist::WriteShard(os, shard);
+  std::string line;
+  std::size_t lines = 0;
+  while (std::getline(os, line)) {
+    EXPECT_TRUE(JsonValue::Parse(line).has_value()) << line;
+    ++lines;
+  }
+  EXPECT_EQ(lines, 4u);
 }
 
 // ------------------------------------------------------- BenchReporter --

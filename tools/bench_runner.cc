@@ -40,6 +40,7 @@
 
 #include "obs/audit/audit.h"
 #include "obs/bench_report.h"
+#include "obs/cli.h"
 #include "obs/json.h"
 #include "obs/perfdb.h"
 #include "sa/plan/agreement.h"
@@ -88,14 +89,6 @@ void Usage() {
       "  --rel-tol F       relative tolerance (default 0.10)\n"
       "  --noise-mult F    noise multiplier (default 3.0)\n"
       "  --min-delta-ms F  absolute delta floor in ms (default 0.05)\n");
-}
-
-std::optional<std::string> ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
 }
 
 bool WriteFile(const std::string& path, const std::string& content) {
@@ -163,7 +156,7 @@ struct ManifestEntry {
 
 std::optional<std::vector<ManifestEntry>> LoadManifest(
     const std::string& path) {
-  const std::optional<std::string> text = ReadFile(path);
+  const std::optional<std::string> text = obs::ReadFile(path);
   if (!text.has_value()) {
     std::fprintf(stderr, "bench_runner: cannot read manifest %s\n",
                  path.c_str());
@@ -227,7 +220,7 @@ std::optional<std::vector<ManifestEntry>> LoadManifest(
 /// or raw JSON-lines records (summarised on the fly).
 std::optional<std::map<obs::PerfKey, obs::PerfSummary>> LoadSummaries(
     const std::string& path) {
-  const std::optional<std::string> text = ReadFile(path);
+  const std::optional<std::string> text = obs::ReadFile(path);
   if (!text.has_value()) {
     std::fprintf(stderr, "bench_runner: cannot read %s\n", path.c_str());
     return std::nullopt;
@@ -370,7 +363,7 @@ int RunSuite(const Options& opt, const obs::JsonValue& meta, obs::PerfDb* db) {
     }
   }
 
-  const std::optional<std::string> records = ReadFile(records_path);
+  const std::optional<std::string> records = obs::ReadFile(records_path);
   std::remove(records_path.c_str());
   if (!records.has_value()) {
     std::fprintf(stderr, "bench_runner: benches produced no records\n");
@@ -390,7 +383,7 @@ int RunSuite(const Options& opt, const obs::JsonValue& meta, obs::PerfDb* db) {
 /// opt.audit; returns kAuditHardFailExit when --audit-hard-fail is set
 /// and some record violates its bound without being marked expected.
 int SummarizeAudit(const Options& opt) {
-  const std::optional<std::string> text = ReadFile(opt.audit);
+  const std::optional<std::string> text = obs::ReadFile(opt.audit);
   if (!text.has_value() || text->empty()) {
     std::fprintf(stderr, "bench_runner: benches emitted no audit records"
                          " into %s\n",
@@ -454,7 +447,7 @@ int SummarizeAudit(const Options& opt) {
 /// lives in `lamp_plan check`; the runner only surfaces the raw tally so
 /// a run that silently emitted nothing is visible right away.
 int SummarizePlan(const Options& opt) {
-  const std::optional<std::string> text = ReadFile(opt.plan);
+  const std::optional<std::string> text = obs::ReadFile(opt.plan);
   if (!text.has_value() || text->empty()) {
     std::fprintf(stderr,
                  "bench_runner: benches emitted no planner-agreement"

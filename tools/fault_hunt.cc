@@ -7,8 +7,9 @@
 //   fault_hunt --list               show the example programs
 //
 // Options: --nodes N (default 3), --seeds N (per strategy / class,
-// default 4), --out PREFIX (write PREFIX.witness.json and
-// PREFIX.reference.json trace recordings for trace_dump --diff).
+// default 4), --out PREFIX (write PREFIX.witness.jsonl and
+// PREFIX.reference.jsonl trace shards for trace_dump --diff and
+// obs_audit causal).
 //
 // The programs bracket the CALM dividing line: the monotone pipeline
 // should come back clean under every strategy, the naive non-monotone
@@ -18,7 +19,6 @@
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -32,6 +32,7 @@
 #include "net/datalog_program.h"
 #include "net/network.h"
 #include "net/programs.h"
+#include "obs/dist/shard.h"
 #include "relational/generators.h"
 
 namespace lamp {
@@ -123,14 +124,10 @@ std::unique_ptr<Target> MakeTarget(const std::string& name,
   return target;
 }
 
-bool WriteJson(const std::string& path, const obs::JsonValue& value) {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "fault_hunt: cannot write %s\n", path.c_str());
-    return false;
-  }
-  out << value.Dump(2) << "\n";
-  return true;
+bool WriteTrace(const std::string& path, const obs::dist::TraceShard& shard) {
+  if (obs::dist::WriteShardFile(path, shard)) return true;
+  std::fprintf(stderr, "fault_hunt: cannot write %s\n", path.c_str());
+  return false;
 }
 
 int Hunt(Target& target, std::size_t seeds, const std::string& out_prefix) {
@@ -155,12 +152,12 @@ int Hunt(Target& target, std::size_t seeds, const std::string& out_prefix) {
   std::printf("minimized plan: %s\n", witness.plan.ToString().c_str());
   std::printf("output diff vs Q(I): %s\n", witness.diff.summary.c_str());
   if (!out_prefix.empty()) {
-    const std::string witness_path = out_prefix + ".witness.json";
-    const std::string reference_path = out_prefix + ".reference.json";
-    if (!WriteJson(witness_path, witness.divergent_trace)) return 2;
+    const std::string witness_path = out_prefix + ".witness.jsonl";
+    const std::string reference_path = out_prefix + ".reference.jsonl";
+    if (!WriteTrace(witness_path, witness.divergent_trace)) return 2;
     std::printf("witness trace:   %s\n", witness_path.c_str());
     if (witness.has_reference) {
-      if (!WriteJson(reference_path, witness.reference_trace)) return 2;
+      if (!WriteTrace(reference_path, witness.reference_trace)) return 2;
       std::printf("reference trace: %s (clean seed %llu)\n",
                   reference_path.c_str(),
                   static_cast<unsigned long long>(witness.reference_seed));

@@ -32,6 +32,7 @@
 #include "common/rng.h"
 #include "cq/parser.h"
 #include "obs/audit/catalog.h"
+#include "obs/cli.h"
 #include "obs/json.h"
 #include "relational/instance.h"
 #include "sa/plan/agreement.h"
@@ -49,15 +50,6 @@ struct Cli {
   std::size_t p = 4;
   std::vector<std::string> queries;
 };
-
-bool ReadFile(const std::string& path, std::string& out) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::ostringstream text;
-  text << in.rdbuf();
-  out = text.str();
-  return true;
-}
 
 /// The demo workloads mirror bench_join_strategies: a skew-free binary
 /// join where repartition is optimal, and the same join with half of R
@@ -115,13 +107,13 @@ int RunPlan(const Cli& cli) {
                            scenario.catalog, options);
     }
   } else {
-    std::string text;
-    if (!ReadFile(cli.catalog_path, text)) {
+    const std::optional<std::string> text = obs::ReadFile(cli.catalog_path);
+    if (!text.has_value()) {
       std::fprintf(stderr, "lamp_plan: cannot read %s\n",
                    cli.catalog_path.c_str());
       return 2;
     }
-    const std::optional<obs::JsonValue> doc = obs::JsonValue::Parse(text);
+    const std::optional<obs::JsonValue> doc = obs::JsonValue::Parse(*text);
     if (!doc.has_value()) {
       std::fprintf(stderr, "lamp_plan: %s is not valid JSON\n",
                    cli.catalog_path.c_str());
@@ -211,12 +203,12 @@ int RunCheck(int argc, char** argv) {
 
   std::vector<AgreementRecord> records;
   for (const std::string& path : record_files) {
-    std::string text;
-    if (!ReadFile(path, text)) {
+    const std::optional<std::string> text = obs::ReadFile(path);
+    if (!text.has_value()) {
       std::fprintf(stderr, "lamp_plan: cannot read %s\n", path.c_str());
       return 2;
     }
-    std::istringstream lines(text);
+    std::istringstream lines(*text);
     std::string line;
     while (std::getline(lines, line)) {
       if (line.empty() || line[0] != '{') continue;  // Markers, noise.
@@ -238,13 +230,13 @@ int RunCheck(int argc, char** argv) {
 
   std::vector<AgreementPin> pins;
   if (!pins_path.empty()) {
-    std::string text;
-    if (!ReadFile(pins_path, text)) {
+    const std::optional<std::string> text = obs::ReadFile(pins_path);
+    if (!text.has_value()) {
       std::fprintf(stderr, "lamp_plan: cannot read %s\n",
                    pins_path.c_str());
       return 2;
     }
-    const std::optional<obs::JsonValue> doc = obs::JsonValue::Parse(text);
+    const std::optional<obs::JsonValue> doc = obs::JsonValue::Parse(*text);
     std::optional<std::vector<AgreementPin>> parsed =
         doc.has_value() ? PinsFromJson(*doc) : std::nullopt;
     if (!parsed.has_value()) {

@@ -419,7 +419,8 @@ void RunWorker(const Scenario& scenario, std::size_t rank,
     header.ring_t1_ns = ring_t1;
     header.ring_fold_ns = ring_fold;
     const std::string path = trace.PathFor(p, rank);
-    if (!obs::dist::WriteShardFile(path, header, *tracer)) {
+    if (!obs::dist::WriteShardFile(
+            path, obs::dist::ShardFromTracer(*tracer, std::move(header)))) {
       std::fprintf(stderr, "mpc_procs: warning: cannot write trace shard %s\n",
                    path.c_str());
     }
@@ -651,19 +652,13 @@ bool RunOne(const std::string& name, const Options& opts) {
   // The measured latency percentiles land in the audit record next to
   // the wire bytes.
   if (trace.enabled()) {
-    std::vector<obs::dist::TraceShard> shards;
-    for (std::size_t r = 0; r < p; ++r) {
-      std::string err;
-      auto shard = obs::dist::LoadShardFile(trace.PathFor(p, r), &err);
-      LAMP_CHECK_MSG(shard.has_value(), "mpc_procs: trace shard missing");
-      shards.push_back(std::move(*shard));
-    }
+    std::vector<std::string> paths;
+    for (std::size_t r = 0; r < p; ++r) paths.push_back(trace.PathFor(p, r));
     std::string err;
-    const auto merged = obs::dist::MergeShards(std::move(shards), &err);
+    const auto merged = obs::dist::LoadMergedTrace(paths, &err);
     if (!merged.has_value()) {
-      std::fprintf(stderr, "mpc_procs: shard merge failed: %s\n",
-                   err.c_str());
-      LAMP_CHECK_MSG(false, "mpc_procs: shard merge failed");
+      std::fprintf(stderr, "mpc_procs: %s\n", err.c_str());
+      LAMP_CHECK_MSG(false, "mpc_procs: trace shards do not merge");
     }
     LAMP_CHECK_MSG(merged->pairs.size() == p * (p - 1) &&
                        merged->unmatched_sends == 0 &&

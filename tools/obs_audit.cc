@@ -7,9 +7,11 @@
 //                                       lamp.audit.v1 JSON-lines files
 //   obs_audit catalog <catalog.json>    per-relation skew report from a
 //                                       lamp.catalog.v1 document
-//   obs_audit causal <trace.json>       coordination depth + causal
-//                                       critical path from a lamp.trace.v1
-//                                       recording of a transducer run
+//   obs_audit causal <shard.jsonl>...   coordination depth + causal
+//                                       critical path from the trace
+//                                       shards of a run (one shard for a
+//                                       transducer run, e.g. fault_hunt
+//                                       --out; p shards for mpc_procs)
 //   obs_audit demo-audit                audit a HyperCube triangle and a
 //                                       repartition join, render report
 //   obs_audit demo-catalog              print the lamp.catalog.v1 of a
@@ -30,7 +32,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -47,6 +48,8 @@
 #include "obs/audit/bounds.h"
 #include "obs/audit/catalog.h"
 #include "obs/audit/causal.h"
+#include "obs/cli.h"
+#include "obs/dist/merge.h"
 #include "obs/json.h"
 #include "obs/trace.h"
 #include "relational/generators.h"
@@ -58,27 +61,6 @@ using obs::audit::AuditRecord;
 using obs::audit::Catalog;
 using obs::audit::CausalReport;
 using obs::audit::Strategy;
-
-// Eight block glyphs, matching trace_dump's heatmap convention ('.' = 0).
-const char* LoadGlyph(std::uint64_t load, std::uint64_t max) {
-  static const char* kBlocks[] = {"▁", "▂", "▃", "▄",
-                                  "▅", "▆", "▇", "█"};
-  if (load == 0) return ".";
-  if (max == 0) return kBlocks[0];
-  std::size_t idx = static_cast<std::size_t>((8 * load - 1) / max);
-  return kBlocks[std::min<std::size_t>(idx, 7)];
-}
-
-std::optional<std::string> ReadFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "obs_audit: cannot open %s\n", path.c_str());
-    return std::nullopt;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
 
 // --- report -------------------------------------------------------------
 
@@ -179,7 +161,9 @@ void RenderReport(const std::vector<AuditRecord>& records) {
       max = std::max<std::uint64_t>(max, load);
     }
     std::string heat;
-    for (const std::size_t load : r.per_server) heat += LoadGlyph(load, max);
+    for (const std::size_t load : r.per_server) {
+      heat += obs::LoadGlyph(load, max);
+    }
     std::printf("  %s/%s p=%zu round %zu max=%zu\n    |%s|\n",
                 r.bench.c_str(), r.label.c_str(), r.p, r.worst_round,
                 r.measured_max_load, heat.c_str());
@@ -272,8 +256,11 @@ int ReportMain(const std::vector<std::string>& files, bool check) {
   std::vector<AuditRecord> records;
   bool ok = true;
   for (const std::string& path : files) {
-    const std::optional<std::string> text = ReadFile(path);
-    if (!text.has_value()) return 2;
+    const std::optional<std::string> text = obs::ReadFile(path);
+    if (!text.has_value()) {
+      std::fprintf(stderr, "obs_audit: cannot open %s\n", path.c_str());
+      return 2;
+    }
     std::vector<AuditRecord> parsed = ParseAuditLines(*text, path, &ok);
     records.insert(records.end(), parsed.begin(), parsed.end());
   }
@@ -326,8 +313,11 @@ void RenderCatalog(const Catalog& catalog) {
 }
 
 int CatalogMain(const std::string& path) {
-  const std::optional<std::string> text = ReadFile(path);
-  if (!text.has_value()) return 2;
+  const std::optional<std::string> text = obs::ReadFile(path);
+  if (!text.has_value()) {
+    std::fprintf(stderr, "obs_audit: cannot open %s\n", path.c_str());
+    return 2;
+  }
   const std::optional<obs::JsonValue> doc = obs::JsonValue::Parse(*text);
   std::optional<Catalog> catalog;
   if (doc.has_value()) catalog = Catalog::FromJson(*doc);
@@ -343,21 +333,23 @@ int CatalogMain(const std::string& path) {
 
 // --- causal -------------------------------------------------------------
 
-int CausalMain(const std::string& path, bool json) {
-  const std::optional<std::string> text = ReadFile(path);
-  if (!text.has_value()) return 2;
-  const std::optional<obs::JsonValue> doc = obs::JsonValue::Parse(*text);
-  std::optional<CausalReport> report;
-  if (doc.has_value()) report = obs::audit::CausalReportFromTraceJson(*doc);
-  if (!report.has_value()) {
-    std::fprintf(stderr, "obs_audit: %s is not a lamp.trace.v1 document\n",
-                 path.c_str());
+int CausalMain(const std::vector<std::string>& files, bool json) {
+  if (files.empty()) {
+    std::fprintf(stderr, "obs_audit: causal needs trace shard files\n");
     return 2;
   }
+  std::string err;
+  const std::optional<obs::dist::MergedTrace> merged =
+      obs::dist::LoadMergedTrace(files, &err);
+  if (!merged.has_value()) {
+    std::fprintf(stderr, "obs_audit: %s\n", err.c_str());
+    return 2;
+  }
+  const CausalReport report = obs::audit::BuildCausalReport(*merged);
   if (json) {
-    std::printf("%s\n", report->ToJson().Dump(2).c_str());
+    std::printf("%s\n", report.ToJson().Dump(2).c_str());
   } else {
-    std::printf("%s", report->Render().c_str());
+    std::printf("%s", report.Render().c_str());
   }
   return 0;
 }
@@ -498,7 +490,7 @@ int DemoCausalMain(bool json) {
                             /*aware=*/true);
       (void)net.Run(/*seed=*/1);
     }
-    return obs::audit::BuildCausalReport(tracer.Events());
+    return obs::audit::BuildCausalReport(obs::dist::LocalTrace(tracer));
   };
 
   MonotoneBroadcastProgram monotone(query);
@@ -542,7 +534,7 @@ int Main(int argc, char** argv) {
           "  report <audit.jsonl>...  headroom table + load heatmaps\n"
           "                           (--check: exit 4 on hard violations)\n"
           "  catalog <catalog.json>   per-relation skew report\n"
-          "  causal <trace.json>      coordination depth + critical path\n"
+          "  causal <shard.jsonl>...  coordination depth + critical path\n"
           "  demo-audit               audit two demo joins, render report\n"
           "  demo-catalog             print a demo lamp.catalog.v1\n"
           "  demo-causal              monotone vs barrier causal profiles\n"
@@ -567,13 +559,7 @@ int Main(int argc, char** argv) {
     }
     return CatalogMain(args[0]);
   }
-  if (command == "causal") {
-    if (args.size() != 1) {
-      std::fprintf(stderr, "obs_audit: causal needs one file\n");
-      return 2;
-    }
-    return CausalMain(args[0], json);
-  }
+  if (command == "causal") return CausalMain(args, json);
   if (command == "demo-audit") return DemoAuditMain();
   if (command == "demo-catalog") return DemoCatalogMain();
   if (command == "demo-causal") return DemoCausalMain(json);
