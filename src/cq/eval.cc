@@ -507,6 +507,27 @@ void EvaluateIntoBatches(const ConjunctiveQuery& query,
 Instance Evaluate(const ConjunctiveQuery& query, const Instance& instance,
                   CqEvalStats* stats) {
   Instance result;
+  if (query.IsFull()) {
+    // Distinct by construction: a full CQ's head fact determines its
+    // valuation, each satisfying valuation maps every body atom to one row
+    // of the (set) instance, and the matcher visits each choice of rows
+    // once. So the head rows never repeat; collect them in emission order
+    // and hand them over without a dedup probe.
+    std::vector<Value> rows;
+    std::size_t count = 0;
+    EvaluateIntoBatchesImpl(
+        query, instance,
+        [&rows, &count](RelationId, const Value* block, std::size_t n,
+                        std::size_t arity) {
+          rows.insert(rows.end(), block, block + n * arity);
+          count += n;
+        },
+        stats);
+    result.AdoptDistinctRows(query.head().relation,
+                             query.head().terms.size(), count,
+                             std::move(rows));
+    return result;
+  }
   EvaluateIntoBatchesImpl(
       query, instance,
       [&result](RelationId relation, const Value* rows, std::size_t count,

@@ -50,7 +50,10 @@ bool ForEachSatisfyingValuation(const ConjunctiveQuery& query,
                                 const ValuationVisitor& visit,
                                 CqEvalStats* stats = nullptr);
 
-/// Q(I): all facts derived by satisfying valuations.
+/// Q(I): all facts derived by satisfying valuations, each relation's rows
+/// in emission order. A full CQ's rows are distinct by construction and
+/// are adopted without dedup probes (Instance::AdoptDistinctRows); other
+/// queries insert each derived row with set semantics.
 Instance Evaluate(const ConjunctiveQuery& query, const Instance& instance,
                   CqEvalStats* stats = nullptr);
 

@@ -3,6 +3,7 @@
 #include <map>
 #include <numeric>
 #include <string>
+#include <utility>
 
 #include "common/check.h"
 #include "cq/parser.h"
@@ -147,10 +148,11 @@ bool DatalogProgram::IsSemiConnected() const {
   return true;
 }
 
-DatalogProgram ParseProgram(Schema& schema, std::string_view text) {
+ProgramParseResult TryParseProgram(Schema& schema, std::string_view text) {
+  ProgramParseResult result;
   DatalogProgram program;
   std::size_t start = 0;
-  while (start <= text.size()) {
+  for (std::size_t line_no = 1; start <= text.size(); ++line_no) {
     std::size_t end = text.find('\n', start);
     if (end == std::string_view::npos) end = text.size();
     std::string_view line = text.substr(start, end - start);
@@ -164,12 +166,35 @@ DatalogProgram ParseProgram(Schema& schema, std::string_view text) {
       line.remove_suffix(1);
     }
     if (!line.empty() && line.front() != '#' && line.front() != '%') {
-      program.AddRule(ParseQuery(schema, line));
+      CqParseResult parsed = TryParseQuery(schema, line);
+      std::string error = parsed.error;
+      if (parsed.ok()) {
+        if (const std::optional<std::string> violation =
+                parsed.query->SafetyViolation()) {
+          error = "unsafe rule: " + *violation;
+        } else if (parsed.query->body().empty()) {
+          error = "rule has no positive body atom";
+        }
+      }
+      if (!error.empty()) {
+        result.error = "line " + std::to_string(line_no) + ": " + error;
+        return result;
+      }
+      program.AddRule(std::move(*parsed.query));
     }
     if (end == text.size()) break;
     start = end + 1;
   }
-  return program;
+  result.program = std::move(program);
+  return result;
+}
+
+DatalogProgram ParseProgram(Schema& schema, std::string_view text) {
+  ProgramParseResult result = TryParseProgram(schema, text);
+  if (!result.ok()) {
+    LAMP_CHECK_MSG(false, result.error.c_str());
+  }
+  return std::move(*result.program);
 }
 
 }  // namespace lamp

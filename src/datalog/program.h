@@ -3,6 +3,7 @@
 
 #include <optional>
 #include <set>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -70,8 +71,26 @@ class DatalogProgram {
   std::vector<ConjunctiveQuery> rules_;
 };
 
+/// Outcome of TryParseProgram: a program whose every rule is safe and has
+/// a positive body atom, or an error naming the first bad line.
+struct ProgramParseResult {
+  std::optional<DatalogProgram> program;
+  std::string error;  // "line N: ..." (1-based); non-empty iff !program.
+
+  bool ok() const { return program.has_value(); }
+};
+
 /// Parses a multi-line program: one rule per non-empty line (lines starting
-/// with '#' or '%' are comments). Uses the rule syntax of cq/parser.h.
+/// with '#' or '%' are comments), in the rule syntax of cq/parser.h. For
+/// untrusted text: a syntax or arity error, an unsafe rule
+/// (ConjunctiveQuery::SafetyViolation) or a rule without a positive body
+/// atom (nothing to evaluate it from) is returned as an error naming its
+/// 1-based line; it never aborts. Relations named before the error stay
+/// registered in \p schema.
+ProgramParseResult TryParseProgram(Schema& schema, std::string_view text);
+
+/// Aborting wrapper of TryParseProgram, for trusted in-repo literals: the
+/// same program on valid text, a checked abort with the error otherwise.
 DatalogProgram ParseProgram(Schema& schema, std::string_view text);
 
 }  // namespace lamp

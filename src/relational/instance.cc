@@ -4,6 +4,7 @@
 #include <map>
 #include <numeric>
 #include <sstream>
+#include <utility>
 
 #include "common/check.h"
 #include "common/hash.h"
@@ -65,11 +66,35 @@ void Instance::Reserve(RelationId relation, std::size_t arity,
   }
   const std::size_t rows = c.num_rows + extra_rows;
   c.data.reserve(rows * arity);
+  const std::size_t slots = SlotsFor(rows, c.slots.size());
+  if (slots != c.slots.size()) Rehash(c, slots);
+}
+
+std::size_t Instance::SlotsFor(std::size_t rows, std::size_t current_slots) {
   // The smallest table the insert-time trigger would have grown to for
   // `rows` rows (load factor at most 7/8).
-  std::size_t slots = std::max<std::size_t>(16, c.slots.size());
+  std::size_t slots = std::max<std::size_t>(16, current_slots);
   while (rows * 8 > slots * 7) slots *= 2;
-  if (slots != c.slots.size()) Rehash(c, slots);
+  return slots;
+}
+
+void Instance::AdoptDistinctRows(RelationId relation, std::size_t arity,
+                                 std::size_t count,
+                                 std::vector<Value>&& rows) {
+  LAMP_CHECK_MSG(rows.size() == count * arity,
+                 "adopted rows must hold count * arity values");
+  LAMP_CHECK_MSG(arity != 0 || count <= 1,
+                 "distinct nullary rows: at most one");
+  LAMP_CHECK_MSG(NumRows(relation) == 0,
+                 "rows are adopted only into an empty relation");
+  if (count == 0) return;
+  if (relation >= by_relation_.size()) by_relation_.resize(relation + 1);
+  Column& c = by_relation_[relation];
+  c.arity = static_cast<std::uint32_t>(arity);
+  c.num_rows = count;
+  c.data = std::move(rows);
+  size_ += count;
+  Rehash(c, SlotsFor(count, c.slots.size()));
 }
 
 bool Instance::InsertRow(RelationId relation, const Value* row,

@@ -162,6 +162,18 @@ class Instance {
   std::size_t InsertRows(RelationId relation, const Value* rows,
                          std::size_t count, std::size_t arity);
 
+  /// Bulk load for rows the caller certifies pairwise distinct (a full
+  /// CQ's output: each head fact determines its valuation). \p rows holds
+  /// \p count rows of \p arity values each, row-major, and becomes the
+  /// relation's column as is; the dedup slot table is built once at its
+  /// final size, with no per-row probe. Afterwards the instance is exactly
+  /// as if the rows had been inserted one by one in order. Checked: the
+  /// relation is empty, rows.size() == count * arity, and at most one row
+  /// when \p arity is 0. Distinctness itself is the caller's contract and
+  /// is not checked. A no-op when \p count is 0.
+  void AdoptDistinctRows(RelationId relation, std::size_t arity,
+                         std::size_t count, std::vector<Value>&& rows);
+
   /// Like InsertRows, but every row that was new here is also inserted
   /// into \p mirror under the same relation (the semi-naive fused
   /// containment+insert sink: `mirror` collects the next delta).
@@ -338,6 +350,7 @@ class Instance {
 
   static std::uint64_t HashRow(const Value* row, std::size_t arity);
   static void Rehash(Column& c, std::size_t new_slots);
+  static std::size_t SlotsFor(std::size_t rows, std::size_t current_slots);
   std::size_t InsertRowsImpl(RelationId relation, const Value* rows,
                              std::size_t count, std::size_t arity,
                              Instance* mirror);

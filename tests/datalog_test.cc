@@ -1,9 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
 #include "datalog/eval.h"
 #include "datalog/program.h"
 #include "datalog/wellfounded.h"
 #include "relational/generators.h"
+
+#ifndef LAMP_TESTS_DIR
+#error "tests/CMakeLists.txt must define LAMP_TESTS_DIR"
+#endif
 
 namespace lamp {
 namespace {
@@ -246,6 +256,161 @@ TEST(WellFounded, AgreesWithStratifiedOnStratifiedProgram) {
   const RelationId out = schema.IdOf("OUT");
   EXPECT_EQ(wfs.true_facts.FactsOf(out).size(),
             stratified.FactsOf(out).size());
+}
+
+// ------------------------------------------------------ TryParseProgram --
+
+std::string ReadTestFile(const std::string& relative) {
+  const std::string path = std::string(LAMP_TESTS_DIR) + "/" + relative;
+  std::ifstream in(path);
+  EXPECT_TRUE(in.is_open()) << path;
+  std::stringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+std::vector<std::string> RenderRules(const Schema& schema,
+                                     const DatalogProgram& program) {
+  std::vector<std::string> out;
+  for (const ConjunctiveQuery& rule : program.rules()) {
+    out.push_back(rule.ToString(schema));
+  }
+  return out;
+}
+
+/// The error TryParseProgram gives for \p text (empty if it parsed).
+std::string ParseError(std::string_view text) {
+  Schema schema;
+  return TryParseProgram(schema, text).error;
+}
+
+TEST(TryParseProgram, ValidTextGivesTheParseProgramResult) {
+  for (const char* text : {kComplementTc, kNoTriangle, kWinMove, ""}) {
+    Schema try_schema;
+    const ProgramParseResult parsed = TryParseProgram(try_schema, text);
+    ASSERT_TRUE(parsed.ok()) << parsed.error;
+    EXPECT_TRUE(parsed.error.empty());
+    Schema schema;
+    const DatalogProgram program = ParseProgram(schema, text);
+    EXPECT_EQ(RenderRules(try_schema, *parsed.program),
+              RenderRules(schema, program));
+    EXPECT_EQ(try_schema.NumRelations(), schema.NumRelations());
+  }
+}
+
+TEST(TryParseProgram, MalformedLineIsNamed) {
+  // Comments and blank lines count toward the 1-based line number.
+  EXPECT_EQ(ParseError("# comment\n\nTC(x,y) <- E(x,y\n"),
+            "line 3: expected ')'");
+  EXPECT_EQ(ParseError("TC(x,y) <- E(x,y)\nTC(x,y) E(x,y)"),
+            "line 2: expected '<-' or ':-' after head");
+  EXPECT_EQ(ParseError("TC(x,y) <- E(x,y) junk"),
+            "line 1: trailing input after query");
+  EXPECT_EQ(ParseError("E(x) <- R(x)\nH(x) <- E(x,y)"),
+            "line 2: relation 'E' used with arity 2 but registered with "
+            "arity 1");
+}
+
+TEST(TryParseProgram, TruncatedLinesAreErrors) {
+  for (const char* text :
+       {"TC(x,y) <-", "TC(x,y) <- E(x,", "TC(", "TC(x,y) <- E(x,y), x !=",
+        "TC(x,y) <- E(x,y),", "TC(x,y) <- !", "("}) {
+    const std::string error = ParseError(text);
+    EXPECT_EQ(error.rfind("line 1: ", 0), 0u) << text << " -> " << error;
+  }
+}
+
+TEST(TryParseProgram, UnsafeRulesAreErrors) {
+  EXPECT_EQ(ParseError("TC(x,y) <- E(x,y)\nH(x,z) <- E(x,y)"),
+            "line 2: unsafe rule: head variable 'z' does not occur in a "
+            "positive body atom");
+  EXPECT_EQ(ParseError("Q(x) <- E(x,y), !R(x,w)"),
+            "line 1: unsafe rule: variable 'w' of a negated atom does not "
+            "occur in a positive body atom");
+  EXPECT_EQ(ParseError("H(x) <- E(x,y), x != u"),
+            "line 1: unsafe rule: variable 'u' of an inequality does not "
+            "occur in a positive body atom");
+  // Safe, but with nothing to evaluate the rule from.
+  EXPECT_EQ(ParseError("H(1) <- !E(1,2)"),
+            "line 1: rule has no positive body atom");
+}
+
+TEST(TryParseProgram, CommittedLintFixtures) {
+  const struct {
+    const char* file;
+    std::size_t rules;  // 0: the file must be rejected.
+    const char* error;
+  } kCases[] = {
+      {"data/sa/clean.dl", 3, ""},
+      {"data/sa/cross_product.dl", 1, ""},
+      {"data/sa/unstratifiable.dl", 2, ""},
+      {"data/sa/unsafe.dl", 0,
+       "line 6: unsafe rule: head variable 'z' does not occur in a positive "
+       "body atom"},
+  };
+  for (const auto& c : kCases) {
+    Schema schema;
+    const ProgramParseResult parsed =
+        TryParseProgram(schema, ReadTestFile(c.file));
+    EXPECT_EQ(parsed.error, c.error) << c.file;
+    if (c.rules == 0) {
+      EXPECT_FALSE(parsed.ok()) << c.file;
+    } else {
+      ASSERT_TRUE(parsed.ok()) << c.file;
+      EXPECT_EQ(parsed.program->rules().size(), c.rules) << c.file;
+    }
+  }
+}
+
+TEST(TryParseProgram, MutatedTextNeverAborts) {
+  // Every prefix and a few thousand seeded byte mutations of a valid
+  // program: each parse returns a program or a "line N: " error.
+  const std::string base = kNoTriangle;
+  std::vector<std::string> inputs;
+  for (std::size_t n = 0; n <= base.size(); ++n) {
+    inputs.push_back(base.substr(0, n));
+  }
+  const std::string alphabet = "(),!=<-: \n#xyzE0123456789\t\r%_\xff";
+  Rng rng(515);
+  for (int i = 0; i < 3000; ++i) {
+    std::string text = base;
+    for (std::uint64_t m = 1 + rng.Uniform(4); m > 0; --m) {
+      const std::size_t pos = rng.Uniform(text.size());
+      switch (rng.Uniform(3)) {
+        case 0:
+          text[pos] = alphabet[rng.Uniform(alphabet.size())];
+          break;
+        case 1:
+          text.erase(pos, 1 + rng.Uniform(3));
+          break;
+        default:
+          text.insert(pos, 1, alphabet[rng.Uniform(alphabet.size())]);
+      }
+    }
+    inputs.push_back(std::move(text));
+  }
+  std::size_t accepted = 0;
+  for (const std::string& text : inputs) {
+    Schema schema;
+    const ProgramParseResult parsed = TryParseProgram(schema, text);
+    if (parsed.ok()) {
+      ++accepted;
+      for (const ConjunctiveQuery& rule : parsed.program->rules()) {
+        EXPECT_FALSE(rule.SafetyViolation().has_value()) << text;
+        EXPECT_FALSE(rule.body().empty()) << text;
+      }
+    } else {
+      EXPECT_EQ(parsed.error.rfind("line ", 0), 0u) << text;
+    }
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_LT(accepted, inputs.size());
+}
+
+TEST(TryParseProgramDeathTest, ParseProgramAbortsWithTheLine) {
+  Schema schema;
+  EXPECT_DEATH(ParseProgram(schema, "TC(x,y) <- E(x,y)\nH(x,z) <- E(x,y)"),
+               "line 2: unsafe rule");
 }
 
 }  // namespace

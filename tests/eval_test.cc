@@ -1,4 +1,6 @@
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -201,6 +203,102 @@ TEST(Eval, AgreesWithNaiveEnumerationOnRandomGraphs) {
         });
     EXPECT_EQ(fast, naive) << "trial " << trial;
   }
+}
+
+/// Q(I) built the way Evaluate builds non-full queries: every streamed head
+/// row goes through InsertRows (one dedup probe per row). Also reports how
+/// many rows the evaluation streamed, duplicates included.
+Instance ViaInsertRows(const ConjunctiveQuery& q, const Instance& inst,
+                       std::size_t* streamed) {
+  Instance out;
+  *streamed = 0;
+  EvaluateIntoBatches(q, inst,
+                      [&out, streamed](RelationId rel, const Value* rows,
+                                       std::size_t count, std::size_t arity) {
+                        out.InsertRows(rel, rows, count, arity);
+                        *streamed += count;
+                      });
+  return out;
+}
+
+/// Same relations, same rows, same row order.
+void ExpectSameRowSequences(const Instance& a, const Instance& b) {
+  ASSERT_EQ(a.Size(), b.Size());
+  ASSERT_EQ(a.RelationBound(), b.RelationBound());
+  for (RelationId r = 0; r < a.RelationBound(); ++r) {
+    const RowsView ra = a.RowsOf(r);
+    const RowsView rb = b.RowsOf(r);
+    ASSERT_EQ(ra.num_rows, rb.num_rows) << "relation " << r;
+    ASSERT_EQ(ra.arity, rb.arity) << "relation " << r;
+    for (std::size_t i = 0; i < ra.num_rows * ra.arity; ++i) {
+      ASSERT_EQ(ra.data[i], rb.data[i]) << "relation " << r << " value " << i;
+    }
+  }
+}
+
+TEST(Eval, FullQueryOutputMatchesInsertPathRowForRow) {
+  // Full CQs take Evaluate's dedup-free path (their head rows are distinct
+  // by construction); it must give the rows the probing path gives, in the
+  // same order, and the evaluation must never stream a repeated row.
+  Schema schema;
+  const std::vector<std::string> texts = {
+      "A(x,y,z) <- R(x,y), R(y,z)",            // Self-join.
+      "B(x) <- R(x,x)",                        // Repeated variable.
+      "C(x,1,y) <- R(x,y), S(y,2)",            // Constants, body and head.
+      "D(x,y,x) <- R(x,y), S(y,x)",            // Repeated head variable.
+      "E(x,y) <- R(x,y), !S(x,y)",             // Negated atom.
+      "F(x,y,z) <- R(x,y), R(y,z), x != z",    // Inequality.
+      "G() <- R(1,2), S(2,1)",                 // Ground body, nullary head.
+      "T(x,y,z) <- R(x,y), S(y,z), R(z,x)",    // Triangle.
+  };
+  std::vector<ConjunctiveQuery> queries;
+  for (const std::string& text : texts) {
+    queries.push_back(ParseQuery(schema, text));
+    ASSERT_TRUE(queries.back().IsFull()) << text;
+  }
+  const RelationId r = schema.IdOf("R");
+  const RelationId s = schema.IdOf("S");
+  std::vector<bool> nonempty(queries.size(), false);
+  Rng rng(4242);
+  for (int trial = 0; trial < 40; ++trial) {
+    Instance inst;
+    for (int i = 0; i < 14; ++i) {
+      inst.Insert(Fact(r, {rng.UniformInt(0, 4), rng.UniformInt(0, 4)}));
+      inst.Insert(Fact(s, {rng.UniformInt(0, 4), rng.UniformInt(0, 4)}));
+    }
+    for (std::size_t k = 0; k < queries.size(); ++k) {
+      std::size_t streamed = 0;
+      const Instance expected = ViaInsertRows(queries[k], inst, &streamed);
+      const Instance full = Evaluate(queries[k], inst);
+      ExpectSameRowSequences(full, expected);
+      EXPECT_EQ(streamed, full.Size()) << texts[k] << " trial " << trial;
+      if (!full.Empty()) nonempty[k] = true;
+    }
+  }
+  for (std::size_t k = 0; k < queries.size(); ++k) {
+    EXPECT_TRUE(nonempty[k]) << "never derived anything: " << texts[k];
+  }
+}
+
+TEST(Eval, ProjectingQueryStillDeduplicates) {
+  Schema schema;
+  const ConjunctiveQuery q = ParseQuery(schema, "H(x) <- R(x,y), R(y,z)");
+  ASSERT_FALSE(q.IsFull());
+  const RelationId r = schema.IdOf("R");
+  Rng rng(99);
+  bool collided = false;
+  for (int trial = 0; trial < 20; ++trial) {
+    Instance inst;
+    for (int i = 0; i < 20; ++i) {
+      inst.Insert(Fact(r, {rng.UniformInt(0, 5), rng.UniformInt(0, 5)}));
+    }
+    std::size_t streamed = 0;
+    const Instance expected = ViaInsertRows(q, inst, &streamed);
+    const Instance result = Evaluate(q, inst);
+    ExpectSameRowSequences(result, expected);
+    if (streamed > result.Size()) collided = true;
+  }
+  EXPECT_TRUE(collided) << "no trial produced a repeated head row";
 }
 
 }  // namespace

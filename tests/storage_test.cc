@@ -6,7 +6,8 @@
 // set semantics, per-relation insertion order, membership, ActiveDomain
 // and the lazily built join indexes all agree with the model. (2) Reserve
 // is invisible: the same operations with and without it mixed in agree
-// on rows, membership and join index chains. (3) A
+// on rows, membership and join index chains; likewise rows bulk-loaded
+// with AdoptDistinctRows behave as if inserted one by one. (3) A
 // digest-parity test pins the end-to-end contract the refactor must not
 // move: the same MPC workload produces byte-identical output fingerprints
 // at thread counts {1, 4} and across the inproc / tcp / uds transports.
@@ -383,6 +384,113 @@ TEST(StorageReserveDeathTest, ArityMismatchHitsTheCheck) {
   instance.InsertRow(0, row.data(), 2);
   instance.Reserve(0, 2, 10);  // Matching arity: fine.
   EXPECT_DEATH(instance.Reserve(0, 3, 10), "arity");
+}
+
+// ---------------------------------------------- AdoptDistinctRows --
+
+/// \p count distinct random rows of \p arity values (at most one row when
+/// \p arity is 0), flat and row-major, in draw order.
+std::vector<Value> DistinctRows(Rng& rng, std::size_t arity,
+                                std::size_t count) {
+  std::set<std::vector<std::int64_t>> seen;
+  std::vector<Value> flat;
+  while (seen.size() < count) {
+    const std::vector<std::int64_t> row = RandomRow(rng, arity, 40);
+    if (!seen.insert(row).second) continue;
+    for (std::int64_t v : row) flat.push_back(Value(v));
+  }
+  return flat;
+}
+
+// Adopting distinct rows leaves the instance exactly as inserting them one
+// by one would: rows, order, membership, join indexes, equality, copies,
+// and every later insert, Reserve and ClearRelation.
+TEST(StorageAdopt, AdoptedRowsBehaveAsInsertedOnes) {
+  constexpr RelationId kRelations = 4;
+  const std::size_t kArity[kRelations] = {2, 3, 1, 0};
+  for (std::uint64_t seed = 0; seed < 8; ++seed) {
+    Rng rng(3000 + seed);
+    Instance adopted;
+    Instance inserted;
+    for (RelationId rel = 0; rel < kRelations; ++rel) {
+      const std::size_t arity = kArity[rel];
+      // At most half of the 40^arity possible rows.
+      std::size_t room = 1;
+      for (std::size_t i = 0; i < arity; ++i) room *= 40;
+      const std::size_t count =
+          arity == 0 ? rng.Uniform(2)
+                     : rng.Uniform(std::min<std::size_t>(
+                           room / 2, seed < 4 ? 20 : 400));
+      std::vector<Value> rows = DistinctRows(rng, arity, count);
+      for (std::size_t i = 0; i < count; ++i) {
+        EXPECT_TRUE(inserted.InsertRow(rel, rows.data() + i * arity, arity));
+      }
+      adopted.AdoptDistinctRows(rel, arity, count, std::move(rows));
+    }
+    ExpectSameRowsAndIndexes(adopted, inserted);
+    EXPECT_TRUE(adopted == inserted);
+
+    const Instance copy = adopted;
+    ExpectSameRowsAndIndexes(copy, inserted);
+    EXPECT_TRUE(copy == inserted);
+
+    for (int step = 0; step < 300; ++step) {
+      const RelationId rel = static_cast<RelationId>(rng.Uniform(kRelations));
+      const std::size_t arity = kArity[rel];
+      const std::vector<Value> row = ToValues(RandomRow(rng, arity, 40));
+      const std::uint64_t op = rng.Uniform(100);
+      if (op < 45) {
+        EXPECT_EQ(adopted.ContainsRow(rel, row.data(), arity),
+                  inserted.ContainsRow(rel, row.data(), arity));
+      } else if (op < 85) {
+        EXPECT_EQ(adopted.InsertRow(rel, row.data(), arity),
+                  inserted.InsertRow(rel, row.data(), arity));
+      } else if (op < 97) {
+        adopted.Reserve(rel, arity, rng.Uniform(50));
+      } else {
+        adopted.ClearRelation(rel);
+        inserted.ClearRelation(rel);
+      }
+    }
+    ExpectSameRowsAndIndexes(adopted, inserted);
+    EXPECT_TRUE(adopted == inserted);
+  }
+}
+
+TEST(StorageAdopt, AdoptedRowIsADuplicateOnInsert) {
+  Instance instance;
+  instance.AdoptDistinctRows(
+      2, 2, 3, {Value(1), Value(2), Value(3), Value(4), Value(5), Value(6)});
+  EXPECT_EQ(instance.Size(), 3u);
+  const std::vector<Value> second = {Value(3), Value(4)};
+  const std::vector<Value> fresh = {Value(4), Value(3)};
+  EXPECT_TRUE(instance.ContainsRow(2, second.data(), 2));
+  EXPECT_FALSE(instance.InsertRow(2, second.data(), 2));
+  EXPECT_FALSE(instance.ContainsRow(2, fresh.data(), 2));
+  EXPECT_TRUE(instance.InsertRow(2, fresh.data(), 2));
+  EXPECT_EQ(instance.Size(), 4u);
+  EXPECT_EQ(instance.RowsOf(2).Row(3)[0], Value(4));
+}
+
+TEST(StorageAdopt, ZeroRowsIsANoOp) {
+  Instance instance;
+  instance.AdoptDistinctRows(5, 3, 0, {});
+  EXPECT_EQ(instance.NumRelationIds(), 0u);
+  EXPECT_TRUE(instance.Empty());
+  EXPECT_TRUE(instance == Instance());
+}
+
+TEST(StorageAdoptDeathTest, PreconditionsHitTheCheck) {
+  Instance instance;
+  const std::vector<Value> row = {Value(1), Value(2)};
+  instance.InsertRow(0, row.data(), 2);
+  EXPECT_DEATH(instance.AdoptDistinctRows(0, 2, 1, {Value(3), Value(4)}),
+               "empty relation");
+  EXPECT_DEATH(instance.AdoptDistinctRows(1, 2, 2, {Value(3), Value(4)}),
+               "count \\* arity");
+  EXPECT_DEATH(instance.AdoptDistinctRows(1, 3, 1, {Value(3), Value(4)}),
+               "count \\* arity");
+  EXPECT_DEATH(instance.AdoptDistinctRows(1, 0, 2, {}), "nullary");
 }
 
 // ------------------------------------------------- digest parity --
